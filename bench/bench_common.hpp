@@ -14,10 +14,12 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "core/cli.hpp"
 #include "core/experiment.hpp"
+#include "opt/compositionality.hpp"
 #include "opt/trace_store.hpp"
 
 namespace cms::bench {
@@ -31,7 +33,6 @@ namespace cms::bench {
 using core::has_flag;
 using core::parse_jobs;
 using core::parse_profiler;
-using core::parse_replay_kernel;
 using core::parse_store_l2;
 using core::parse_store_l2_dir;
 using core::parse_store_l2_target;
@@ -117,5 +118,35 @@ inline void print_run_summary(const char* label, const core::RunOutput& out) {
       out.verified ? "[verified]" : "[VERIFY FAILED]",
       out.results.deadlocked ? " [DEADLOCK]" : "");
 }
+
+/// Exit-code gate of the paper's claims in the figure benches: each
+/// failed check prints one "paper gate FAILED" line, and main returns
+/// exit_code(), so a regression fails the run instead of only printing.
+class PaperGate {
+ public:
+  void check(bool ok, const char* app, const std::string& what) {
+    if (ok) return;
+    ++failures_;
+    std::printf("paper gate FAILED [%s]: %s\n", app, what.c_str());
+  }
+  /// A run backs a claim only if its output verified and it finished.
+  void run(const char* app, const char* label, const core::RunOutput& out) {
+    check(out.verified && !out.results.deadlocked, app,
+          std::string(label) + " run unverified or deadlocked");
+  }
+  /// The paper's compositionality bound: per-task |expected - simulated|
+  /// within 2% of the total simulated misses.
+  void compositional(const char* app, const opt::CompositionalityReport& rep) {
+    check(rep.within(0.02), app,
+          "per-task |expected - simulated| above 2% of total misses");
+  }
+  int exit_code() const {
+    std::printf("paper gates: %s\n", failures_ == 0 ? "PASS" : "FAIL");
+    return failures_ == 0 ? 0 : 1;
+  }
+
+ private:
+  int failures_ = 0;
+};
 
 }  // namespace cms::bench

@@ -6,7 +6,9 @@
 // "the largest difference for a task between the expected and simulated
 // number of misses relative to the overall simulated number of misses is
 // 2%" — that residual comes from the neglected effects (task switching,
-// L1 and bus contention).
+// L1 and bus contention). Exits nonzero if, for either application, the
+// plan is infeasible, the partitioned run fails verification or
+// deadlocks, or the largest per-task difference exceeds that 2%.
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
@@ -16,7 +18,8 @@ using namespace cms;
 
 namespace {
 
-void run_app(const char* title, const core::AppFactory& factory,
+void run_app(bench::PaperGate& gate, const char* app, const char* title,
+             const core::AppFactory& factory,
              const core::ExperimentConfig& cfg) {
   print_banner(title);
   core::Experiment exp(factory, cfg);
@@ -24,6 +27,7 @@ void run_app(const char* title, const core::AppFactory& factory,
   const opt::PartitionPlan plan = exp.plan(prof);
   if (!plan.feasible) {
     std::printf("plan infeasible!\n");
+    gate.check(false, app, "plan infeasible");
     return;
   }
   const core::RunOutput part = exp.run_partitioned(plan);
@@ -49,6 +53,8 @@ void run_app(const char* title, const core::AppFactory& factory,
       rep.within(0.02) ? "within the paper's bound" : "above the paper's bound");
   std::printf("functional verification: %s\n",
               part.verified ? "PASS" : "FAIL");
+  gate.run(app, "partitioned", part);
+  gate.compositional(app, rep);
 }
 
 }  // namespace
@@ -57,9 +63,11 @@ int main(int argc, char** argv) {
   const unsigned jobs = bench::parse_jobs(argc, argv);
   const core::ProfilerMode prof = bench::parse_profiler(argc, argv);
   const auto store = bench::parse_trace_store(argc, argv);
-  run_app("Figure 3a: expected vs simulated misses — 2 jpegs & canny",
+  bench::PaperGate gate;
+  run_app(gate, "app1",
+          "Figure 3a: expected vs simulated misses — 2 jpegs & canny",
           bench::app1_factory(), bench::app1_experiment(jobs, prof, store));
-  run_app("Figure 3b: expected vs simulated misses — mpeg2",
+  run_app(gate, "app2", "Figure 3b: expected vs simulated misses — mpeg2",
           bench::app2_factory(), bench::app2_experiment(jobs, prof, store));
-  return 0;
+  return gate.exit_code();
 }

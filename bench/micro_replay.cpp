@@ -6,17 +6,17 @@
 // active-cycle reconstruction error against fully-timed isolation runs.
 // Exits nonzero on any profile mismatch.
 //
-//   ./micro_replay [--jobs N] [--quick] [--replay-kernel K]
+//   ./micro_replay [--jobs N] [--quick]
 //   {"bench": "micro_replay", "scenarios": [{"scenario": "mpeg2-tiny",
 //    "identical": true, "engine_runs": {"fullsim": 5, "replay": 1},
 //    "ms": {"fullsim": ..., "replay": ...}, "speedup": ...,
 //    "t_recon_rel_err": {"mean": ..., "max": ...}}, ...],
-//    "kernel": "avx2", "identical": true}
+//    "identical": true}
 //
 // Kernel-comparison mode (--compare-kernels): capture once per scenario,
 // then time the REPLAY HALF ALONE under every engine — full simulation,
-// the legacy per-size loop, and the fused kernel with each tag-compare
-// path — and verify every profile against the per-size reference:
+// the legacy per-size loop and the fused kernel — and verify every
+// profile against the per-size reference:
 //
 //   ./micro_replay --compare-kernels [--jobs N]
 //   {"bench": "micro_replay", "mode": "compare-kernels", "scenarios": [
@@ -24,20 +24,15 @@
 //     "engines": [{"kernel": "fullsim", ...},
 //                 {"kernel": "persize", "ms": ..., "speedup_vs_persize": 1.0,
 //                  "identical": true},
-//                 {"kernel": "scalar", "resolved": "scalar", ...},
-//                 {"kernel": "avx2", "resolved": "avx2", ...}]}, ...],
+//                 {"kernel": "fused", ...}]}, ...],
 //    "identical": true}
 //
 // Flags: --jobs N            campaign workers (0 = hardware)
 //        --quick             tiny scenarios only (CI smoke on slow hosts)
-//        --replay-kernel K   auto|scalar|sse4|avx2|persize (default auto)
-//        --profile-out FILE  dump the replay profile (MissProfile rows) to
-//                            FILE — CI diffs scalar vs auto dumps
 //        --compare-kernels   per-kernel timing mode (see above)
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -83,18 +78,6 @@ void recon_error_at(const core::Experiment& exp,
     worst = std::max(worst, err);
     ++n;
   }
-}
-
-std::string parse_profile_out(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--profile-out") == 0) {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "warning: --profile-out needs a file\n");
-      return {};
-    }
-    if (std::strncmp(argv[i], "--profile-out=", 14) == 0) return argv[i] + 14;
-  }
-  return {};
 }
 
 /// The per-kernel timing mode: replay-only wall-clock of every engine
@@ -156,22 +139,16 @@ bool compare_kernels(unsigned jobs,
                 "\"speedup_vs_persize\": 1.00, \"identical\": true}",
                 persize_ms);
 
-    const opt::ReplayKernel fused_kernels[] = {opt::ReplayKernel::kScalar,
-                                               opt::ReplayKernel::kSse4,
-                                               opt::ReplayKernel::kAvx2};
-    for (const opt::ReplayKernel k : fused_kernels) {
-      const opt::ReplayKernel resolved = opt::resolve_replay_kernel(k);
+    {
       opt::MissProfile prof;
       const double ms = wall_ms([&] {
-        prof = opt::replay_profile_multi(fused, l2, l2_seed, surcharge, k);
+        prof = opt::replay_profile_multi(fused, l2, l2_seed, surcharge);
       });
       const bool identical = ref.identical(prof);
       all_identical = all_identical && identical;
-      std::printf(", {\"kernel\": \"%s\", \"resolved\": \"%s\", "
-                  "\"ms\": %.1f, \"speedup_vs_persize\": %.2f, "
-                  "\"identical\": %s}",
-                  opt::to_string(k), opt::to_string(resolved), ms,
-                  ms > 0.0 ? persize_ms / ms : 0.0,
+      std::printf(", {\"kernel\": \"fused\", \"ms\": %.1f, "
+                  "\"speedup_vs_persize\": %.2f, \"identical\": %s}",
+                  ms, ms > 0.0 ? persize_ms / ms : 0.0,
                   identical ? "true" : "false");
     }
     std::printf("]}");
@@ -186,8 +163,6 @@ int main(int argc, char** argv) {
   const unsigned jobs = bench::parse_jobs(argc, argv, 1);
   const bool quick = bench::has_flag(argc, argv, "--quick");
   const auto store = bench::parse_trace_store(argc, argv);
-  const opt::ReplayKernel kernel = bench::parse_replay_kernel(argc, argv);
-  const std::string profile_out = parse_profile_out(argc, argv);
 
   if (bench::has_flag(argc, argv, "--compare-kernels"))
     return compare_kernels(jobs, store) ? 0 : 1;
@@ -199,20 +174,11 @@ int main(int argc, char** argv) {
     names = core::scenarios().names();
 
   bool all_identical = true;
-  std::FILE* dump = nullptr;
-  if (!profile_out.empty()) {
-    dump = std::fopen(profile_out.c_str(), "w");
-    if (dump == nullptr) {
-      std::fprintf(stderr, "cannot open --profile-out file '%s'\n",
-                   profile_out.c_str());
-      return 1;
-    }
-  }
 
   std::printf("{\"bench\": \"micro_replay\", \"scenarios\": [");
   for (std::size_t s = 0; s < names.size(); ++s) {
     const core::Experiment exp = core::scenarios().make_experiment(
-        names[s], jobs, std::nullopt, store, kernel);
+        names[s], jobs, std::nullopt, store);
     const auto& cfg = exp.config();
     const std::size_t runs = std::max(1u, cfg.profile_runs);
     const std::size_t full_runs = cfg.profile_grid.size() * runs;
@@ -224,12 +190,6 @@ int main(int argc, char** argv) {
         [&] { replay = exp.profile_with(core::ProfilerMode::kTraceReplay); });
     const bool identical = full.identical(replay);
     all_identical = all_identical && identical;
-
-    // The profile dump CI diffs across --replay-kernel values: replay
-    // output rendered deterministically, one block per scenario.
-    if (dump != nullptr)
-      std::fprintf(dump, "== %s ==\n%s", names[s].c_str(),
-                   replay.to_string().c_str());
 
     // t_i reconstruction error at the extreme grid points (run 0).
     double err_sum = 0.0, err_max = 0.0;
@@ -250,9 +210,6 @@ int main(int argc, char** argv) {
         replay_ms > 0.0 ? full_ms / replay_ms : 0.0,
         err_n ? err_sum / static_cast<double>(err_n) : 0.0, err_max);
   }
-  std::printf("], \"kernel\": \"%s\", \"identical\": %s}\n",
-              opt::to_string(opt::resolve_replay_kernel(kernel)),
-              all_identical ? "true" : "false");
-  if (dump != nullptr) std::fclose(dump);
+  std::printf("], \"identical\": %s}\n", all_identical ? "true" : "false");
   return all_identical ? 0 : 1;
 }

@@ -53,9 +53,6 @@
 //        --store-l2 off|ro|rw      far-tier mode (default rw: write
 //                                  through; ro serves a frozen shared dir)
 //        --jobs N                  campaign workers per request
-//        --replay-kernel K         replay engine: auto|scalar|sse4|avx2|
-//                                  persize (bit-identical responses; the
-//                                  resolved kernel is echoed as "kernel")
 //        --service-budget-bytes N  store byte budget (0 = unlimited)
 //        --service-budget-entries N  store entry budget (0 = unlimited)
 //        --plan-cache off|mem|disk memoized plan cache (default disk:
@@ -381,7 +378,6 @@ int main(int argc, char** argv) {
   svc::PlanningServiceConfig svc_cfg;
   svc_cfg.store = svc::open_service_store(backend, mode, capacity);
   svc_cfg.jobs = jobs;
-  svc_cfg.replay_kernel = core::parse_replay_kernel(argc, argv);
   svc_cfg.plan_cache =
       svc::open_plan_cache(cache_mode, backend, mode, cache_budget);
   svc_cfg.coalesce_window_ms = core::parse_coalesce_window_ms(argc, argv);

@@ -135,9 +135,8 @@ class ScenarioRegistry {
   /// profiling mode (kFullSim vs kTraceReplay), a non-null `store`
   /// attaches a persistent trace store (captures are then looked up on
   /// disk before simulating — see opt/trace_store.hpp), and `kernel` the
-  /// replay engine (--replay-kernel); omitted, the spec's own settings
-  /// stand. Built-in scenarios carry a trace_key, so the store works out
-  /// of the box.
+  /// replay engine; omitted, the spec's own settings stand. Built-in
+  /// scenarios carry a trace_key, so the store works out of the box.
   Experiment make_experiment(
       const std::string& name, std::optional<unsigned> jobs = std::nullopt,
       std::optional<ProfilerMode> profiler = std::nullopt,

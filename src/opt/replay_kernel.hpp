@@ -13,23 +13,14 @@
 // compare), a per-lane kRandom replacement counter, per-lane miss
 // counters and a per-(task-slot, lane) demand-miss matrix.
 //
-// Bit-identity contract: every kernel variant produces fragments whose
-// fold is MissProfile::identical to the per-size path's, because the
-// kernel replicates mem::SetAssocCache outcome semantics exactly (see
-// replay_kernel_impl.hpp for the invariant list) and only outcome state
-// is modeled — per SetAssocCache::kOutcomeStateIsTagsStampsCounters,
-// dirty bits, owners and the cold-miss table cannot change a hit/miss.
-// tests/test_replay_kernel.cpp pins this for every variant, scenario and
-// worker count.
-//
-// ISA dispatch: the inner "find matching way" probe is data-parallel over
-// ways, so the kernel ships three bodies — portable scalar, SSE4.1
-// (2 tags/compare) and AVX2 (4 tags/compare) — compiled in per-ISA TUs
-// (QSVEnc-style; CMakeLists.txt adds -msse4.2 / -mavx2 to just those
-// files) and selected at RUNTIME via common::available_simd(). A binary
-// built on x86 therefore runs the best path its host CPU supports and
-// still runs (scalar) anywhere else; -DCMS_FORCE_SCALAR=ON pins every
-// probe and dispatch decision to scalar for sanitizer runs.
+// Bit-identity contract: the kernel produces fragments whose fold is
+// MissProfile::identical to the per-size path's, because it replicates
+// mem::SetAssocCache outcome semantics exactly (see replay_kernel.cpp for
+// the invariant list) and only outcome state is modeled — per
+// SetAssocCache::kOutcomeStateIsTagsStampsCounters, dirty bits, owners
+// and the cold-miss table cannot change a hit/miss.
+// tests/test_replay_kernel.cpp pins this for every scenario and worker
+// count.
 #pragma once
 
 #include <cstddef>
@@ -41,26 +32,32 @@
 #include "mem/cache_config.hpp"
 #include "opt/planner.hpp"
 #include "opt/profile.hpp"
-#include "opt/replay_kernel_mode.hpp"
 #include "opt/trace.hpp"
 
 namespace cms::opt {
 
-/// Does this binary carry a real SSE4.1 / AVX2 kernel body? False when
-/// the per-ISA TU was compiled without its -m flag (non-x86 target) or
-/// under CMS_FORCE_SCALAR — the symbols still link, as scalar aliases.
-bool have_sse4_kernel();
-bool have_avx2_kernel();
+/// Which replay engine executes a kTraceReplay profiling sweep. Both are
+/// BIT-IDENTICAL in output (misses, demand misses, reconstructed t_i);
+/// they differ only in wall-clock.
+enum class ReplayKernel : std::uint8_t {
+  /// The fused multi-size kernel (MultiReplay below).
+  kAuto,
+  /// Legacy one-standalone-cache-per-grid-size loop (opt::replay_fragment)
+  /// — one full pass over every trace PER SIZE. Kept as the independent
+  /// reference implementation the fused kernel is verified against.
+  kPerSize,
+};
 
-/// Map a requested kernel to the one that will actually execute:
-/// kAuto picks the best fused variant the build AND the executing CPU
-/// support (avx2 > sse4 > scalar); an explicit SIMD request that the
-/// build or CPU cannot honor degrades to kScalar (silently — output is
-/// bit-identical either way, so the only observable difference is
-/// wall-clock; callers that care echo the resolved kernel, e.g. the
-/// `kernel` field of bench/service JSON). kScalar and kPerSize resolve
-/// to themselves.
-ReplayKernel resolve_replay_kernel(ReplayKernel requested);
+inline const char* to_string(ReplayKernel k) {
+  return k == ReplayKernel::kPerSize ? "persize" : "auto";
+}
+
+/// The kernel that executes for a request: every kernel runs as asked, so
+/// this is the identity. Kept for callers that echo the executed kernel
+/// (perfbench's provenance line).
+inline ReplayKernel resolve_replay_kernel(ReplayKernel requested) {
+  return requested;
+}
 
 /// One grid point of a fused replay: the uniform isolation plan of that
 /// point, its grid label and its fragment's canonical schedule position
@@ -80,7 +77,7 @@ struct MultiReplayJob {
 
 /// Decode-once multi-size replay of one capture. Usage:
 ///
-///   MultiReplay mr(capture, points, l2, l2_seed, kernel);
+///   MultiReplay mr(capture, points, l2, l2_seed);
 ///   for (std::size_t s = 0; s < mr.num_streams(); ++s)  // any order /
 ///     mr.replay_stream(s);                              // any threads
 ///   auto frags = mr.fragments(surcharge);   // after ALL streams done
@@ -97,15 +94,11 @@ class MultiReplay {
  public:
   /// Validates up front that every stream's client has an entry in every
   /// point's plan; throws std::invalid_argument (same message as
-  /// replay_fragment) otherwise. `kernel` is resolved via
-  /// resolve_replay_kernel; kPerSize is not meaningful here and runs the
-  /// fused scalar body.
+  /// replay_fragment) otherwise.
   MultiReplay(const CaptureRun& capture, std::vector<ReplayGridPoint> points,
-              const mem::CacheConfig& l2, std::uint64_t l2_seed,
-              ReplayKernel kernel);
+              const mem::CacheConfig& l2, std::uint64_t l2_seed);
 
   std::size_t num_streams() const { return capture_->trace.streams.size(); }
-  ReplayKernel kernel() const { return kernel_; }
 
   /// Replay stream `s` through every grid point in one pass. Allocates
   /// the stream's tag/stamp state locally (freed on return); only the
@@ -121,7 +114,6 @@ class MultiReplay {
   std::vector<ReplayGridPoint> points_;
   mem::CacheConfig l2_;
   std::uint64_t l2_seed_;
-  ReplayKernel kernel_;
   /// Task-slot table: capture_->tasks creation order; slot slot_ids_.size()
   /// is the shared trash slot for ids outside the table.
   std::vector<TaskId> slot_ids_;
@@ -139,10 +131,11 @@ class MultiReplay {
 
 /// Serial driver over fused jobs: replay every stream of every job, fold
 /// all fragments. Bit-identical to replay_profile over the equivalent
-/// per-size job list (same orders → same fold sequence).
+/// per-size job list (same orders → same fold sequence). Every `kernel`
+/// runs the fused kernel; replay_profile is the per-size engine.
 MissProfile replay_profile_multi(const std::vector<MultiReplayJob>& jobs,
                                  const mem::CacheConfig& l2,
                                  std::uint64_t l2_seed, Cycle surcharge,
-                                 ReplayKernel kernel);
+                                 ReplayKernel kernel = ReplayKernel::kAuto);
 
 }  // namespace cms::opt

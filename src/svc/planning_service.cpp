@@ -554,8 +554,7 @@ void PlanningService::run_request(const core::Experiment& exp,
       // any deferred captures — see ensure_capture). Replay the UNION
       // grid once; the fused multi-size kernel makes the extra columns
       // nearly free.
-      resp.replay_kernel = opt::to_string(
-          opt::resolve_replay_kernel(exp.config().replay_kernel));
+      resp.replay_kernel = opt::to_string(exp.config().replay_kernel);
       sweeps_started_.fetch_add(1, std::memory_order_relaxed);
       if (cfg_.sweep_started) cfg_.sweep_started(scenario, union_grid);
       const auto tp = Clock::now();

@@ -209,10 +209,10 @@ struct PlanResponse {
   /// 0 on plan-cache hits and errors.
   std::uint32_t union_points = 0;
 
-  /// Replay engine that produced the profile, RESOLVED to what actually
-  /// executed ("avx2", "sse4", "scalar" or "persize" — never "auto"), or
-  /// "cache" when the response came from the plan cache and no replay ran
-  /// at all. Provenance only: kernels are bit-identical by contract, so
+  /// Replay engine that produced the profile ("auto" for the fused
+  /// kernel, "persize" for the per-size reference), or "cache" when the
+  /// response came from the plan cache and no replay ran at all.
+  /// Provenance only: kernels are bit-identical by contract, so
   /// cached entries are kernel-independent (bench/micro_plan_service
   /// asserts a cache hit matches a response computed under a DIFFERENT
   /// kernel bit-for-bit).
@@ -255,9 +255,9 @@ struct PlanningServiceConfig {
   /// memo; with a disk tier, point it at the store's directory
   /// (open_plan_cache below wires the CLI flags).
   std::shared_ptr<opt::PlanCache> plan_cache;
-  /// Replay engine for the profiling sweeps (--replay-kernel). Any value
-  /// yields bit-identical responses; the flag trades wall-clock only, and
-  /// the resolved kernel is echoed in PlanResponse::replay_kernel.
+  /// Replay engine for the profiling sweeps. Both kernels yield
+  /// bit-identical responses and differ in wall-clock only; the kernel
+  /// is echoed in PlanResponse::replay_kernel.
   opt::ReplayKernel replay_kernel = opt::ReplayKernel::kAuto;
   /// Sweep-coalescing merge window: a sweep leader holds its sweep OPEN
   /// for AT MOST this long after it was registered, so every request of

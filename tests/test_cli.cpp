@@ -80,32 +80,6 @@ TEST(HasFlag, ExactMatchOnly) {
   EXPECT_FALSE(has_flag(2, const_cast<char**>(prefix.data()), "--quick"));
 }
 
-opt::ReplayKernel kernel_of(std::vector<const char*> args,
-                            opt::ReplayKernel def = opt::ReplayKernel::kAuto) {
-  args.insert(args.begin(), "prog");
-  return parse_replay_kernel(static_cast<int>(args.size()),
-                             const_cast<char**>(args.data()), def);
-}
-
-TEST(ParseReplayKernel, AcceptsAllEngines) {
-  EXPECT_EQ(kernel_of({"--replay-kernel", "auto"}), opt::ReplayKernel::kAuto);
-  EXPECT_EQ(kernel_of({"--replay-kernel=scalar"}),
-            opt::ReplayKernel::kScalar);
-  EXPECT_EQ(kernel_of({"--replay-kernel", "sse4"}), opt::ReplayKernel::kSse4);
-  EXPECT_EQ(kernel_of({"--replay-kernel=avx2"}), opt::ReplayKernel::kAvx2);
-  EXPECT_EQ(kernel_of({"--replay-kernel", "persize"}),
-            opt::ReplayKernel::kPerSize);
-}
-
-TEST(ParseReplayKernel, DefaultAndBadValues) {
-  EXPECT_EQ(kernel_of({}), opt::ReplayKernel::kAuto);
-  EXPECT_EQ(kernel_of({}, opt::ReplayKernel::kScalar),
-            opt::ReplayKernel::kScalar);
-  EXPECT_EQ(kernel_of({"--replay-kernel=avx512"}), opt::ReplayKernel::kAuto);
-  EXPECT_EQ(kernel_of({"--replay-kernel"}), opt::ReplayKernel::kAuto);
-  EXPECT_EQ(kernel_of({"--replay-kernel=AVX2"}), opt::ReplayKernel::kAuto);
-}
-
 PlanCacheMode plan_cache_of(std::vector<const char*> args,
                             PlanCacheMode def = PlanCacheMode::kDisk) {
   args.insert(args.begin(), "prog");

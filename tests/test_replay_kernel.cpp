@@ -1,11 +1,10 @@
 // Tests for the fused multi-size replay kernel (opt/replay_kernel.hpp):
-// bit-identity of every kernel variant — scalar, SSE4, AVX2 and the
-// auto-dispatched one — against the per-size reference replay, over the
-// built-in scenarios (LRU, counter-based kRandom, the dense 64-point
-// grid) and at several campaign worker counts; synthetic captures pin
-// the FIFO and write-through-no-allocate cache paths, the non-power-of-2
-// set counts the Lemire fast-mod handles, and the trace-to-L2 line-size
-// rescale; plus the runtime dispatch rules themselves.
+// bit-identity of the fused kernel against the per-size reference
+// replay, over the built-in scenarios (LRU, counter-based kRandom, the
+// dense 64-point grid) and at several campaign worker counts; synthetic
+// captures pin the FIFO and write-through-no-allocate cache paths, the
+// non-power-of-2 set counts the Lemire fast-mod handles, and the
+// trace-to-L2 line-size rescale.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -14,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/simd.hpp"
 #include "core/scenario.hpp"
 #include "opt/replay_kernel.hpp"
 #include "opt/trace.hpp"
@@ -22,14 +20,7 @@
 namespace cms::opt {
 namespace {
 
-// Every fused engine, including the auto dispatcher. Explicit SIMD
-// requests degrade to scalar on hosts without the ISA, so the list is
-// valid (and the identity checks meaningful) on any machine.
-const ReplayKernel kFusedKernels[] = {
-    ReplayKernel::kScalar, ReplayKernel::kSse4, ReplayKernel::kAvx2,
-    ReplayKernel::kAuto};
-
-// ---- built-in scenarios: fused engines vs the per-size reference ----
+// ---- built-in scenarios: the fused kernel vs the per-size reference ----
 
 MissProfile persize_reference(const core::Experiment& exp,
                               const std::vector<CaptureRun>& captures) {
@@ -39,11 +30,10 @@ MissProfile persize_reference(const core::Experiment& exp,
 }
 
 MissProfile fused_profile(const core::Experiment& exp,
-                          const std::vector<CaptureRun>& captures,
-                          ReplayKernel kernel) {
+                          const std::vector<CaptureRun>& captures) {
   const auto& hier = exp.config().platform.hier;
   return replay_profile_multi(exp.multi_replay_jobs(captures), hier.l2,
-                              hier.l2_seed(), miss_surcharge(hier), kernel);
+                              hier.l2_seed(), miss_surcharge(hier));
 }
 
 class ReplayKernelScenario : public ::testing::TestWithParam<const char*> {};
@@ -52,11 +42,8 @@ TEST_P(ReplayKernelScenario, EveryKernelMatchesPerSizeReference) {
   const core::Experiment exp = core::scenarios().make_experiment(
       GetParam(), 1, core::ProfilerMode::kTraceReplay);
   const std::vector<CaptureRun> captures = exp.capture_runs();
-  const MissProfile ref = persize_reference(exp, captures);
-  for (const ReplayKernel k : kFusedKernels)
-    EXPECT_TRUE(ref.identical(fused_profile(exp, captures, k)))
-        << "kernel " << to_string(k) << " (resolved "
-        << to_string(resolve_replay_kernel(k)) << ")";
+  EXPECT_TRUE(
+      persize_reference(exp, captures).identical(fused_profile(exp, captures)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -86,12 +73,8 @@ TEST(ReplayKernelExperiment, WorkerCountAndKernelInvariant) {
           name, jobs, core::ProfilerMode::kTraceReplay, nullptr,
           ReplayKernel::kAuto);
       EXPECT_TRUE(ref.identical(exp.profile()))
-          << name << " auto jobs=" << jobs;
+          << name << " fused jobs=" << jobs;
     }
-    const core::Experiment scalar2 = core::scenarios().make_experiment(
-        name, 2, core::ProfilerMode::kTraceReplay, nullptr,
-        ReplayKernel::kScalar);
-    EXPECT_TRUE(ref.identical(scalar2.profile())) << name << " scalar jobs=2";
   }
 }
 
@@ -170,21 +153,18 @@ MissProfile synth_reference(const CaptureRun& c, const mem::CacheConfig& l2) {
   return fold_fragments(std::move(frags));
 }
 
-MissProfile synth_fused(const CaptureRun& c, const mem::CacheConfig& l2,
-                        ReplayKernel kernel) {
+MissProfile synth_fused(const CaptureRun& c, const mem::CacheConfig& l2) {
   std::vector<ReplayGridPoint> points;
   for (std::size_t i = 0; i < kSynthSizes.size(); ++i)
     points.push_back({synth_plan(c, kSynthSizes[i]), kSynthSizes[i], i});
-  MultiReplay mr(c, std::move(points), l2, kSeed, kernel);
+  MultiReplay mr(c, std::move(points), l2, kSeed);
   for (std::size_t s = 0; s < mr.num_streams(); ++s) mr.replay_stream(s);
   return fold_fragments(mr.fragments(kSurcharge));
 }
 
 void expect_synth_identity(const CaptureRun& c, const mem::CacheConfig& l2) {
-  const MissProfile ref = synth_reference(c, l2);
-  for (const ReplayKernel k : kFusedKernels)
-    EXPECT_TRUE(ref.identical(synth_fused(c, l2, k)))
-        << "kernel " << to_string(k) << " l2 " << l2.to_string();
+  EXPECT_TRUE(synth_reference(c, l2).identical(synth_fused(c, l2)))
+      << "l2 " << l2.to_string();
 }
 
 TEST(ReplayKernelSynthetic, FifoReplacement) {
@@ -230,53 +210,14 @@ TEST(ReplayKernelSynthetic, UnplannedClientThrows) {
   plan->entries.pop_back();  // drop the buffer stream's entry
   const mem::CacheConfig l2;
   std::vector<ReplayGridPoint> points = {{plan, 2, 0}};
-  EXPECT_THROW(MultiReplay(c, points, l2, kSeed, ReplayKernel::kScalar),
-               std::invalid_argument);
+  EXPECT_THROW(MultiReplay(c, points, l2, kSeed), std::invalid_argument);
   EXPECT_THROW(replay_fragment(c, *plan, l2, kSeed, 2, 0, kSurcharge),
                std::invalid_argument);
 }
 
-// ---- runtime dispatch ----
-
-TEST(ReplayKernelDispatch, ResolveRules) {
-  // Fixed points: scalar and the legacy per-size engine resolve to
-  // themselves regardless of the host.
-  EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kScalar),
-            ReplayKernel::kScalar);
-  EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kPerSize),
-            ReplayKernel::kPerSize);
-
-  const bool avx2 = have_avx2_kernel() && common::simd_has(common::kSimdAvx2);
-  const bool sse4 = have_sse4_kernel() &&
-                    common::simd_has(common::kSimdSse41 | common::kSimdSse42);
-
-  // Auto picks the widest available ISA.
-  EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kAuto),
-            avx2 ? ReplayKernel::kAvx2
-                 : sse4 ? ReplayKernel::kSse4 : ReplayKernel::kScalar);
-
-  // Explicit SIMD requests degrade to scalar (never sideways to another
-  // ISA) when the build or CPU lacks them.
-  EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kAvx2),
-            avx2 ? ReplayKernel::kAvx2 : ReplayKernel::kScalar);
-  EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kSse4),
-            sse4 ? ReplayKernel::kSse4 : ReplayKernel::kScalar);
-}
-
 TEST(ReplayKernelDispatch, KernelNames) {
   EXPECT_STREQ(to_string(ReplayKernel::kAuto), "auto");
-  EXPECT_STREQ(to_string(ReplayKernel::kScalar), "scalar");
-  EXPECT_STREQ(to_string(ReplayKernel::kSse4), "sse4");
-  EXPECT_STREQ(to_string(ReplayKernel::kAvx2), "avx2");
   EXPECT_STREQ(to_string(ReplayKernel::kPerSize), "persize");
-}
-
-TEST(ReplayKernelDispatch, MultiReplayNeverRunsPerSize) {
-  const CaptureRun c = synth_capture();
-  std::vector<ReplayGridPoint> points = {{synth_plan(c, 2), 2, 0}};
-  const MultiReplay mr(c, std::move(points), mem::CacheConfig(), kSeed,
-                       ReplayKernel::kPerSize);
-  EXPECT_EQ(mr.kernel(), ReplayKernel::kScalar);
 }
 
 }  // namespace
