@@ -89,12 +89,10 @@ void run_app(const char* title, const core::AppFactory& factory,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = bench::parse_jobs(argc, argv);
-  const core::ProfilerMode profiler = bench::parse_profiler(argc, argv);
-  const auto store = bench::parse_trace_store(argc, argv);
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
   run_app("Ablation E1: task-to-processor assignment — 2 jpegs & canny",
-          bench::app1_factory(), bench::app1_experiment(jobs, profiler, store));
+          bench::app1_factory(), bench::app1_experiment(args));
   run_app("Ablation E2: task-to-processor assignment — mpeg2",
-          bench::app2_factory(), bench::app2_experiment(jobs, profiler, store));
+          bench::app2_factory(), bench::app2_experiment(args));
   return 0;
 }

@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "core/cli.hpp"
 #include "core/experiment.hpp"
@@ -24,32 +23,28 @@
 
 namespace cms::bench {
 
-// Campaign flags shared with the examples; results are bit-identical for
-// any --jobs value, either --profiler mode (trace replay reproduces
-// the full-simulation sweep exactly) and with or without a --trace-dir
-// store (store hits load the same captures a live run would record), so
-// benches default to serial full simulation for undisturbed timing and
-// let the flags speed things up on demand.
-using core::has_flag;
-using core::parse_jobs;
-using core::parse_profiler;
-using core::parse_store_l2;
-using core::parse_store_l2_dir;
-using core::parse_store_l2_target;
-using core::parse_trace_dir;
-using core::parse_trace_mode;
+/// The command line of a paper bench: --jobs, --profiler and the store
+/// group (core/cli.hpp). Results are bit-identical for any --jobs value,
+/// either --profiler mode (trace replay reproduces the full-simulation
+/// sweep exactly) and with or without a store (store hits load the same
+/// captures a live run would record), so the defaults are serial full
+/// simulation for undisturbed timing and the flags speed things up on
+/// demand.
+struct BenchArgs {
+  unsigned jobs = 1;
+  core::ProfilerMode profiler = core::ProfilerMode::kFullSim;
+  std::shared_ptr<opt::TraceStore> store;  // null without --trace-dir
+};
 
-/// The persistent capture store selected by --trace-dir / --trace (null
-/// when absent or --trace=off). With --store-l2-dir DIR, --store-l2-dir
-/// tcp://host:port or --store-l2 tcp://host:port the local dir becomes
-/// the L1 of a tiered store over the shared far tier (a directory or a
-/// blob_server daemon), so every bench can replay a fleet-shared capture
-/// corpus.
-inline std::shared_ptr<opt::TraceStore> parse_trace_store(int argc,
-                                                          char** argv) {
-  return core::open_trace_store(
-      parse_trace_dir(argc, argv), parse_trace_mode(argc, argv),
-      parse_store_l2_target(argc, argv), parse_store_l2(argc, argv));
+/// Parse a paper bench's command line, plus the bench's own `extra`
+/// rows; exits 2 on a usage error.
+inline BenchArgs parse_bench_args(int argc, char** argv,
+                                  core::FlagTable extra = {}) {
+  core::CampaignFlags campaign;
+  core::StoreFlags store;
+  core::parse_flags_or_exit(argc, argv,
+                            {campaign.table(), store.table(), extra});
+  return {campaign.jobs, campaign.profiler, store.open_trace_store()};
 }
 
 inline apps::AppConfig app1_content() {
@@ -75,36 +70,28 @@ inline core::AppFactory app2_factory() {
   return [] { return apps::make_m2v_app(app2_content()); };
 }
 
-/// `jobs` = campaign workers used by Experiment::profile (see parse_jobs);
-/// `profiler` = full simulation vs trace replay (see parse_profiler);
-/// `store` = persistent capture store (see parse_trace_store). The
+/// The benches' experiment over `content` on an `l2_bytes` L2. The
 /// trace_key is always set, so attaching a store later also works.
-inline core::ExperimentConfig app1_experiment(
-    unsigned jobs = 1,
-    core::ProfilerMode profiler = core::ProfilerMode::kFullSim,
-    std::shared_ptr<opt::TraceStore> store = nullptr) {
+inline core::ExperimentConfig bench_experiment(std::uint32_t l2_bytes,
+                                               const char* label,
+                                               const apps::AppConfig& content,
+                                               const BenchArgs& args) {
   core::ExperimentConfig cfg;
-  cfg.platform.hier.l2.size_bytes = 96 * 1024;
+  cfg.platform.hier.l2.size_bytes = l2_bytes;
   cfg.profile_runs = 2;
-  cfg.jobs = jobs;
-  cfg.profiler = profiler;
-  cfg.trace_store = std::move(store);
-  cfg.trace_key = core::app_trace_key("bench-app1", app1_content());
+  cfg.jobs = args.jobs;
+  cfg.profiler = args.profiler;
+  cfg.trace_store = args.store;
+  cfg.trace_key = core::app_trace_key(label, content);
   return cfg;
 }
 
-inline core::ExperimentConfig app2_experiment(
-    unsigned jobs = 1,
-    core::ProfilerMode profiler = core::ProfilerMode::kFullSim,
-    std::shared_ptr<opt::TraceStore> store = nullptr) {
-  core::ExperimentConfig cfg;
-  cfg.platform.hier.l2.size_bytes = 64 * 1024;
-  cfg.profile_runs = 2;
-  cfg.jobs = jobs;
-  cfg.profiler = profiler;
-  cfg.trace_store = std::move(store);
-  cfg.trace_key = core::app_trace_key("bench-app2", app2_content());
-  return cfg;
+inline core::ExperimentConfig app1_experiment(const BenchArgs& args = {}) {
+  return bench_experiment(96 * 1024, "bench-app1", app1_content(), args);
+}
+
+inline core::ExperimentConfig app2_experiment(const BenchArgs& args = {}) {
+  return bench_experiment(64 * 1024, "bench-app2", app2_content(), args);
 }
 
 inline void print_run_summary(const char* label, const core::RunOutput& out) {

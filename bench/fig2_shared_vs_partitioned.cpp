@@ -100,16 +100,14 @@ void run_app(bench::PaperGate& gate, const char* app, const char* title,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = bench::parse_jobs(argc, argv);
-  const core::ProfilerMode prof = bench::parse_profiler(argc, argv);
-  const auto store = bench::parse_trace_store(argc, argv);
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
   bench::PaperGate gate;
   run_app(gate, "app1",
           "Figure 2a: 2 jpegs & canny — shared vs best partitioned cache",
-          bench::app1_factory(), bench::app1_experiment(jobs, prof, store),
+          bench::app1_factory(), bench::app1_experiment(args),
           "5x fewer misses, 9.46% -> 2.21%, CPI 1.4 -> 1.1 (-20%)");
   run_app(gate, "app2", "Figure 2b: mpeg2 — shared vs best partitioned cache",
-          bench::app2_factory(), bench::app2_experiment(jobs, prof, store),
+          bench::app2_factory(), bench::app2_experiment(args),
           "6.5x fewer misses, 5.1% -> 0.8%, CPI 1.7-1.8 -> 1.6-1.7 (-4%)");
   return gate.exit_code();
 }

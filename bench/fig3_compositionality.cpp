@@ -60,14 +60,12 @@ void run_app(bench::PaperGate& gate, const char* app, const char* title,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = bench::parse_jobs(argc, argv);
-  const core::ProfilerMode prof = bench::parse_profiler(argc, argv);
-  const auto store = bench::parse_trace_store(argc, argv);
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
   bench::PaperGate gate;
   run_app(gate, "app1",
           "Figure 3a: expected vs simulated misses — 2 jpegs & canny",
-          bench::app1_factory(), bench::app1_experiment(jobs, prof, store));
+          bench::app1_factory(), bench::app1_experiment(args));
   run_app(gate, "app2", "Figure 3b: expected vs simulated misses — mpeg2",
-          bench::app2_factory(), bench::app2_experiment(jobs, prof, store));
+          bench::app2_factory(), bench::app2_experiment(args));
   return gate.exit_code();
 }

@@ -31,10 +31,13 @@ double profile_ms(const core::Experiment& exp, opt::MissProfile& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  unsigned jobs = 4;
+  bool full = false;
+  const core::Flag flags[] = {core::jobs_flag(&jobs),
+                              core::flag("--full", &full)};
+  core::parse_flags_or_exit(argc, argv, {flags});
   // 0 = hardware concurrency, like every other binary.
-  const unsigned max_jobs =
-      core::Campaign::resolve_jobs(bench::parse_jobs(argc, argv, 4));
-  const bool full = bench::has_flag(argc, argv, "--full");
+  const unsigned max_jobs = core::Campaign::resolve_jobs(jobs);
 
   apps::AppConfig content = bench::app1_content();
   core::ExperimentConfig cfg = bench::app1_experiment();

@@ -371,7 +371,17 @@ BurstStats run_burst(std::uint16_t port, Client& control, unsigned n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string server_bin = core::parse_string_flag(argc, argv, "--server-bin");
+  std::string server_bin, dir, scenario;
+  unsigned clients = 8, jobs = 1;
+  double window = 250.0;
+  const core::Flag flags[] = {
+      core::flag("--server-bin", &server_bin),
+      core::flag("--trace-dir", &dir),
+      core::flag("--clients", &clients, 2, 256),
+      core::coalesce_window_flag(&window),
+      core::jobs_flag(&jobs),
+      core::flag("--scenario", &scenario)};
+  core::parse_flags_or_exit(argc, argv, {flags});
   if (server_bin.empty()) {
     // Default: example_plan_server next to this binary (both live in the
     // build directory).
@@ -381,17 +391,7 @@ int main(int argc, char** argv) {
                                              : self.substr(0, slash)) +
                  "/example_plan_server";
   }
-  std::string dir = core::parse_trace_dir(argc, argv);
   if (dir.empty()) dir = "micro_plan_server.traces";
-  unsigned clients = static_cast<unsigned>(
-      core::parse_u64_flag(argc, argv, "--clients", 8));
-  if (clients < 2 || clients > 256) {
-    std::fprintf(stderr, "warning: clamping --clients into [2, 256]\n");
-    clients = clients < 2 ? 2 : 256;
-  }
-  const double window = core::parse_coalesce_window_ms(argc, argv, 250.0);
-  const unsigned jobs = core::parse_jobs(argc, argv, 1);
-  std::string scenario = core::parse_string_flag(argc, argv, "--scenario");
   if (scenario.empty()) scenario = "mpeg2-tiny";
 
   // Mixed client grids, all subsets of one union (client 0 carries the

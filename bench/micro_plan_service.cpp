@@ -46,8 +46,10 @@
 //        --trace MODE              off|ro|rw (off is rejected; default rw)
 //        --store-l2-dir D          far store tier: every service instance
 //                                  gets its own L1-over-D tiered store
-//        --store-l2 MODE           off|ro|rw far-tier mode (default rw)
-//        --service-clients N       concurrent client threads (default 4)
+//        --store-l2 MODE           off|ro|rw far-tier mode (default rw),
+//                                  or tcp://host:port
+//        --service-clients N       concurrent client threads (1..1024,
+//                                  default 4)
 //        --service-budget-bytes N  store byte budget (0 = unlimited)
 //        --service-budget-entries N  store entry budget (0 = unlimited)
 //        --plan-cache MODE         off|mem|disk (default disk)
@@ -65,33 +67,36 @@
 using namespace cms;
 
 int main(int argc, char** argv) {
-  const unsigned jobs = bench::parse_jobs(argc, argv, 1);
-  const bool quick = bench::has_flag(argc, argv, "--quick");
-  const unsigned clients = core::parse_service_clients(argc, argv, 4);
-  std::string dir = bench::parse_trace_dir(argc, argv);
-  if (dir.empty()) dir = "micro_plan_service.traces";
-  const core::TraceMode mode = bench::parse_trace_mode(argc, argv);
+  unsigned jobs = 1, clients = 4;
+  bool quick = false;
+  core::StoreFlags store;
+  core::ServiceFlags service_flags;
+  core::PlanCacheFlags cache_flags;
+  // Every client is a real thread: 1..kMaxJobs, not a 99999-thread army.
+  const core::Flag flags[] = {
+      core::jobs_flag(&jobs), core::flag("--quick", &quick),
+      core::flag("--service-clients", &clients, 1, core::kMaxJobs)};
+  core::parse_flags_or_exit(argc, argv,
+                            {flags, store.table(), service_flags.table(),
+                             cache_flags.table()});
+  if (store.dir.empty()) store.dir = "micro_plan_service.traces";
+  const std::string& dir = store.dir;
+  const core::TraceMode mode = store.mode;
   if (mode == core::TraceMode::kOff) {
     std::fprintf(stderr, "micro_plan_service needs a store (--trace=off?)\n");
     return 1;
   }
-  const std::string l2_target = bench::parse_store_l2_target(argc, argv);
-  const core::StoreL2Mode l2 = bench::parse_store_l2(argc, argv);
-  const opt::TraceStore::Capacity capacity{
-      core::parse_service_budget_bytes(argc, argv),
-      core::parse_service_budget_entries(argc, argv)};
-  const core::PlanCacheMode cache_mode = core::parse_plan_cache(argc, argv);
-  const opt::TraceStore::Capacity cache_budget{
-      core::parse_plan_cache_budget_bytes(argc, argv),
-      core::parse_plan_cache_budget_entries(argc, argv)};
+  const opt::TraceStore::Capacity capacity{service_flags.budget_bytes,
+                                           service_flags.budget_entries};
+  const core::PlanCacheMode cache_mode = cache_flags.mode;
+  const opt::TraceStore::Capacity cache_budget{cache_flags.budget_bytes,
+                                               cache_flags.budget_entries};
 
   // Each service instance composes its own backend over the shared dirs —
   // fresh instances model separate server processes, tiered when a far
   // tier is given: a directory, or a tcp:// blob_server endpoint
   // (captures AND .cmsplan entries read through either way).
-  const auto make_backend = [&] {
-    return core::open_store_backend(dir, mode, l2_target, l2);
-  };
+  const auto make_backend = [&] { return store.open_backend(); };
   const auto open_store = [&] {
     return svc::open_service_store(make_backend(), mode, capacity);
   };

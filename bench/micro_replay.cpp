@@ -30,6 +30,8 @@
 // Flags: --jobs N            campaign workers (0 = hardware)
 //        --quick             tiny scenarios only (CI smoke on slow hosts)
 //        --compare-kernels   per-kernel timing mode (see above)
+//        --trace-dir D, --trace MODE, --store-l2-dir T, --store-l2 MODE
+//                            replay captures from a store (core/cli.hpp)
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -160,12 +162,16 @@ bool compare_kernels(unsigned jobs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = bench::parse_jobs(argc, argv, 1);
-  const bool quick = bench::has_flag(argc, argv, "--quick");
-  const auto store = bench::parse_trace_store(argc, argv);
+  unsigned jobs = 1;
+  bool quick = false, compare = false;
+  core::StoreFlags store_flags;
+  const core::Flag flags[] = {core::jobs_flag(&jobs),
+                              core::flag("--quick", &quick),
+                              core::flag("--compare-kernels", &compare)};
+  core::parse_flags_or_exit(argc, argv, {flags, store_flags.table()});
+  const auto store = store_flags.open_trace_store();
 
-  if (bench::has_flag(argc, argv, "--compare-kernels"))
-    return compare_kernels(jobs, store) ? 0 : 1;
+  if (compare) return compare_kernels(jobs, store) ? 0 : 1;
 
   std::vector<std::string> names;
   if (quick)

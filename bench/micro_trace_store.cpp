@@ -131,26 +131,28 @@ struct NetTotals {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = bench::parse_jobs(argc, argv, 1);
-  const bool quick = bench::has_flag(argc, argv, "--quick");
-  const bool expect_hits = bench::has_flag(argc, argv, "--expect-hits");
-  const bool check_fullsim = !quick || bench::has_flag(argc, argv, "--full");
-  std::string dir = bench::parse_trace_dir(argc, argv);
-  if (dir.empty()) dir = "micro_trace_store.traces";
-  const core::TraceMode mode = bench::parse_trace_mode(argc, argv);
-  if (mode == core::TraceMode::kOff) {
+  unsigned jobs = 1;
+  bool quick = false, expect_hits = false, full = false,
+       expect_l2_errors = false;
+  core::StoreFlags store;
+  const core::Flag flags[] = {
+      core::jobs_flag(&jobs), core::flag("--quick", &quick),
+      core::flag("--expect-hits", &expect_hits), core::flag("--full", &full),
+      core::flag("--expect-l2-errors", &expect_l2_errors)};
+  core::parse_flags_or_exit(argc, argv, {flags, store.table()});
+  const bool check_fullsim = !quick || full;
+  if (store.dir.empty()) store.dir = "micro_trace_store.traces";
+  const std::string& dir = store.dir;
+  if (store.mode == core::TraceMode::kOff) {
     std::fprintf(stderr, "micro_trace_store needs a store (--trace=off?)\n");
     return 1;
   }
-  const std::string l2_target = bench::parse_store_l2_target(argc, argv);
-  const core::StoreL2Mode l2 = bench::parse_store_l2(argc, argv);
-  const bool tiered = !l2_target.empty() && l2 != core::StoreL2Mode::kOff;
-  const bool expect_l2_errors =
-      bench::has_flag(argc, argv, "--expect-l2-errors");
+  const bool tiered = store.tiered();
   // L2-only-warm pass: a fresh EMPTY L1 over the shared far tier, so
   // every capture must read through. Wiped once up front.
-  const std::string l2only_dir = dir + ".l2only";
-  if (tiered) std::filesystem::remove_all(l2only_dir);
+  core::StoreFlags l2only = store;
+  l2only.dir = dir + ".l2only";
+  if (tiered) std::filesystem::remove_all(l2only.dir);
 
   std::vector<std::string> names;
   if (quick)
@@ -189,7 +191,7 @@ int main(int argc, char** argv) {
     // Cold pass: consult the store (first run captures + writes back,
     // repeat runs are served from disk — or read through from the L2
     // when tiered).
-    const auto cold_store = core::open_trace_store(dir, mode, l2_target, l2);
+    const auto cold_store = store.open_trace_store();
     const std::uintmax_t bytes_before = dir_bytes(dir);
     opt::MissProfile cold;
     const core::Experiment exp_cold = core::scenarios().make_experiment(
@@ -202,7 +204,7 @@ int main(int argc, char** argv) {
 
     // Warm pass: a FRESH store instance over the same directory — every
     // capture must come off disk (the L1 alone can serve it).
-    const auto warm_store = core::open_trace_store(dir, mode, l2_target, l2);
+    const auto warm_store = store.open_trace_store();
     opt::MissProfile warm;
     const core::Experiment exp_warm = core::scenarios().make_experiment(
         names[s], jobs, core::ProfilerMode::kTraceReplay, warm_store);
@@ -216,8 +218,7 @@ int main(int argc, char** argv) {
     double l2only_ms = 0.0;
     opt::TraceStore::Stats l2only_stats;
     if (tiered) {
-      const auto l2only_store =
-          core::open_trace_store(l2only_dir, mode, l2_target, l2);
+      const auto l2only_store = l2only.open_trace_store();
       opt::MissProfile l2only;
       const core::Experiment exp_l2only = core::scenarios().make_experiment(
           names[s], jobs, core::ProfilerMode::kTraceReplay, l2only_store);

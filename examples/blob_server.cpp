@@ -21,11 +21,11 @@
 //        --net-workers N   worker threads (concurrent blob requests)
 //        --max-pending N   admission queue bound (excess sheds with a
 //                          busy error response)
+//   An unknown flag or a bad value prints the flag list and exits 2.
 //   SIGTERM/SIGINT drain gracefully: stop accepting + reading, answer
 //   every admitted request, flush every byte, then exit 0.
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -48,15 +48,16 @@ void on_signal(int) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string dir = core::parse_string_flag(argc, argv, "--dir");
+  static constexpr core::FlagChoice kModes[] = {
+      {"ro", core::TraceMode::kReadOnly}, {"rw", core::TraceMode::kReadWrite}};
+  std::string dir;
+  core::TraceMode mode = core::TraceMode::kReadWrite;
+  core::NetFlags net_flags;
+  const core::Flag flags[] = {core::flag("--dir", &dir),
+                              core::flag("--mode", &mode, kModes)};
+  core::parse_flags_or_exit(argc, argv, {flags, net_flags.table()});
   if (dir.empty()) dir = "blob_server.store";
-  const std::string mode = core::parse_string_flag(argc, argv, "--mode", "rw");
-  if (mode != "ro" && mode != "rw") {
-    std::fprintf(stderr, "blob_server: bad --mode '%s' (ro|rw)\n",
-                 mode.c_str());
-    return 1;
-  }
-  const bool writable = mode == "rw";
+  const bool writable = mode == core::TraceMode::kReadWrite;
 
   std::shared_ptr<opt::StoreBackend> backend;
   try {
@@ -69,9 +70,9 @@ int main(int argc, char** argv) {
   }
 
   net::FrameServerConfig cfg;
-  cfg.port = core::parse_port(argc, argv);
-  cfg.workers = core::parse_net_workers(argc, argv);
-  cfg.max_pending = core::parse_max_pending(argc, argv);
+  cfg.port = net_flags.port;
+  cfg.workers = net_flags.workers;
+  cfg.max_pending = net_flags.max_pending;
   cfg.busy_response = opt::blob_error_response("server busy (queue full)");
   cfg.fatal_response =
       opt::blob_error_response("oversized or corrupt request frame");
@@ -89,10 +90,9 @@ int main(int argc, char** argv) {
                  "blob_server exporting %s (%s) on 127.0.0.1:%u (%u "
                  "workers)\n",
                  backend->describe().c_str(), writable ? "rw" : "ro",
-                 server.port(), core::parse_net_workers(argc, argv));
-    const std::string port_file = core::parse_port_file(argc, argv);
-    if (!port_file.empty()) {
-      std::ofstream pf(port_file, std::ios::trunc);
+                 server.port(), net_flags.workers);
+    if (!net_flags.port_file.empty()) {
+      std::ofstream pf(net_flags.port_file, std::ios::trunc);
       pf << server.port() << "\n";
     }
     server.join();

@@ -149,19 +149,21 @@ apps::Application make_sensor_app() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = core::parse_jobs(argc, argv);
+  core::CampaignFlags campaign;
+  core::StoreFlags store;
+  core::parse_flags_or_exit(argc, argv,
+                            {campaign.table(), store.local_table()});
 
   core::ExperimentConfig cfg;
   cfg.platform.hier.num_procs = 2;
   cfg.platform.hier.l2.size_bytes = 32 * 1024;
   cfg.profile_grid = {1, 2, 4, 8, 16, 32, 64};
   cfg.profile_runs = 2;
-  cfg.jobs = jobs;
-  cfg.profiler = core::parse_profiler(argc, argv);
+  cfg.jobs = campaign.jobs;
+  cfg.profiler = campaign.profiler;
   // Custom apps opt into the persistent trace store by naming their
   // content: any change to the pipeline below must change this key.
-  cfg.trace_store = core::open_trace_store(core::parse_trace_dir(argc, argv),
-                                           core::parse_trace_mode(argc, argv));
+  cfg.trace_store = store.open_trace_store();
   cfg.trace_key = "sensor-pipeline/v1";
 
   // Registering the custom workload makes it addressable by name for any

@@ -207,26 +207,22 @@ std::uint64_t decoder1_misses(const sim::SimResults& res) {
 /// The integration sweep again, but with partitions planned by the
 /// service (and memoized by the plan cache) instead of hand-rolled
 /// budgets.
-int run_service_planned(int argc, char** argv, const std::string& dir) {
-  const unsigned jobs = core::parse_jobs(argc, argv, 1);
-  const core::TraceMode mode = core::parse_trace_mode(argc, argv);
-  if (mode == core::TraceMode::kOff) {
+int run_service_planned(unsigned jobs, const core::StoreFlags& store,
+                        const core::PlanCacheFlags& cache) {
+  if (store.mode == core::TraceMode::kOff) {
     std::fprintf(stderr, "jpeg_farm: --trace off disables the service\n");
     return 1;
   }
-  const core::PlanCacheMode cache_mode = core::parse_plan_cache(argc, argv);
-  const opt::TraceStore::Capacity cache_budget{
-      core::parse_plan_cache_budget_bytes(argc, argv),
-      core::parse_plan_cache_budget_entries(argc, argv)};
-
   register_farm_scenarios();
+  const auto backend = store.open_backend();
   svc::PlanningService service(
-      {svc::open_service_store(dir, mode), jobs, nullptr,
-       svc::open_plan_cache(cache_mode, dir, mode, cache_budget)});
+      {svc::open_service_store(backend, store.mode), jobs, nullptr,
+       svc::open_plan_cache(cache.mode, backend, store.mode,
+                            {cache.budget_bytes, cache.budget_entries})});
 
   std::printf("\nService-planned integration sweep (store %s, plan cache "
               "%s):\n",
-              dir.c_str(),
+              store.dir.c_str(),
               service.plan_cache() == nullptr
                   ? "off"
                   : service.plan_cache()->disk_tier() ? "mem+disk" : "mem");
@@ -274,6 +270,13 @@ int run_service_planned(int argc, char** argv, const std::string& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  unsigned jobs = 1;
+  core::StoreFlags store;
+  core::PlanCacheFlags cache;
+  const core::Flag flags[] = {core::jobs_flag(&jobs)};
+  core::parse_flags_or_exit(argc, argv,
+                            {flags, store.local_table(), cache.table()});
+
   std::printf("JPEG farm: decoder 1's misses as co-runners are integrated\n");
   std::printf("(compositionality = the numbers in the partitioned column "
               "stay put)\n\n");
@@ -291,7 +294,6 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  const std::string dir = core::parse_trace_dir(argc, argv);
-  if (!dir.empty()) return run_service_planned(argc, argv, dir);
+  if (!store.dir.empty()) return run_service_planned(jobs, store, cache);
   return 0;
 }

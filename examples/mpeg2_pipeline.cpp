@@ -4,7 +4,8 @@
 // integrator would run to dimension the L2 partitions of a new task set.
 //
 // Pass `--jobs N` to fan the profiling sweep out over N worker threads
-// (the miss profile is bit-identical for any worker count).
+// (the miss profile is bit-identical for any worker count). Also takes
+// --profiler, --trace-dir and --trace.
 #include <cstdio>
 
 #include "common/table.hpp"
@@ -15,7 +16,11 @@
 using namespace cms;
 
 int main(int argc, char** argv) {
-  const unsigned jobs = core::parse_jobs(argc, argv);
+  core::CampaignFlags campaign;
+  core::StoreFlags store;
+  core::parse_flags_or_exit(argc, argv,
+                            {campaign.table(), store.local_table()});
+  const unsigned jobs = campaign.jobs;
 
   // The registry ships the paper's evaluation scenarios by name; "mpeg2"
   // is the small MPEG2-class workload (128x96, 10 frames, 64 KB L2 —
@@ -28,9 +33,8 @@ int main(int argc, char** argv) {
   // faster. Add --trace-dir=DIR to persist the captures: the next run of
   // this example (or any tool profiling the same scenario) loads them off
   // disk and skips the instrumented simulations entirely.
-  spec.experiment.profiler = core::parse_profiler(argc, argv);
-  spec.experiment.trace_store = core::open_trace_store(
-      core::parse_trace_dir(argc, argv), core::parse_trace_mode(argc, argv));
+  spec.experiment.profiler = campaign.profiler;
+  spec.experiment.trace_store = store.open_trace_store();
   core::Experiment exp(spec.factory, spec.experiment);
 
   std::printf("scenario: %s — %s\n", spec.name.c_str(),

@@ -25,7 +25,8 @@
 //       -> {"ok": true, "scenario": ..., "sweep": "leader|coalesced|
 //           cache", "union_points": N, "plan_digest": "...", ...}
 //       Each option may appear AT MOST ONCE (repeats are request
-//       errors); eps must be finite and >= 0 (omit for auto-tune).
+//       errors); runs is at most 64; eps must be finite and >= 0
+//       (omit for auto-tune).
 //       phases=all plans every phase of a streaming scenario; the
 //       response then carries a "phases" array of per-phase responses
 //       (each with its own plan_digest) instead of a single assignment.
@@ -51,7 +52,8 @@
 //                                  L1 of a tiered store that reads through
 //                                  to D (captures AND .cmsplan entries)
 //        --store-l2 off|ro|rw      far-tier mode (default rw: write
-//                                  through; ro serves a frozen shared dir)
+//                                  through; ro serves a frozen shared dir),
+//                                  or tcp://host:port (rw over the wire)
 //        --jobs N                  campaign workers per request
 //        --service-budget-bytes N  store byte budget (0 = unlimited)
 //        --service-budget-entries N  store entry budget (0 = unlimited)
@@ -72,6 +74,7 @@
 //                                  they coalesce; default 8)
 //        --max-pending N           admission queue bound; beyond it
 //                                  requests shed with the busy error
+//   An unknown flag or a bad value prints the flag list and exits 2.
 //   SIGTERM/SIGINT drain gracefully: stop accepting + reading, finish
 //   every admitted request, flush every byte, then exit 0.
 #include <csignal>
@@ -351,36 +354,36 @@ void on_signal(int) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = core::parse_jobs(argc, argv, 1);
-  std::string dir = core::parse_trace_dir(argc, argv);
-  if (dir.empty()) dir = "plan_server.traces";
-  const core::TraceMode mode = core::parse_trace_mode(argc, argv);
-  if (mode == core::TraceMode::kOff) {
+  unsigned jobs = 1;
+  double window_ms = 0.0;
+  core::StoreFlags store;
+  core::ServiceFlags service_flags;
+  core::PlanCacheFlags cache;
+  core::NetFlags net_flags;
+  const core::Flag flags[] = {core::jobs_flag(&jobs),
+                              core::coalesce_window_flag(&window_ms)};
+  core::parse_flags_or_exit(argc, argv,
+                            {flags, store.table(), service_flags.table(),
+                             cache.table(), net_flags.table()});
+  if (store.dir.empty()) store.dir = "plan_server.traces";
+  if (store.mode == core::TraceMode::kOff) {
     std::fprintf(stderr, "plan_server needs a store (--trace=off?)\n");
     return 1;
   }
-  const std::string l2_target = core::parse_store_l2_target(argc, argv);
-  const core::StoreL2Mode l2 = core::parse_store_l2(argc, argv);
-  const opt::TraceStore::Capacity capacity{
-      core::parse_service_budget_bytes(argc, argv),
-      core::parse_service_budget_entries(argc, argv)};
-  const core::PlanCacheMode cache_mode = core::parse_plan_cache(argc, argv);
-  const opt::TraceStore::Capacity cache_budget{
-      core::parse_plan_cache_budget_bytes(argc, argv),
-      core::parse_plan_cache_budget_entries(argc, argv)};
-  const bool socket_mode = core::has_value_flag(argc, argv, "--port");
+  const opt::TraceStore::Capacity capacity{service_flags.budget_bytes,
+                                           service_flags.budget_entries};
 
   // ONE backend (dir, or tiered dir-over-dir) shared by the trace store
   // and the plan cache's disk tier, so both kinds of blob ride the same
   // L1/L2 tiering and the same far directory.
-  const std::shared_ptr<opt::StoreBackend> backend =
-      core::open_store_backend(dir, mode, l2_target, l2);
+  const std::shared_ptr<opt::StoreBackend> backend = store.open_backend();
   svc::PlanningServiceConfig svc_cfg;
-  svc_cfg.store = svc::open_service_store(backend, mode, capacity);
+  svc_cfg.store = svc::open_service_store(backend, store.mode, capacity);
   svc_cfg.jobs = jobs;
-  svc_cfg.plan_cache =
-      svc::open_plan_cache(cache_mode, backend, mode, cache_budget);
-  svc_cfg.coalesce_window_ms = core::parse_coalesce_window_ms(argc, argv);
+  svc_cfg.plan_cache = svc::open_plan_cache(
+      cache.mode, backend, store.mode,
+      {cache.budget_bytes, cache.budget_entries});
+  svc_cfg.coalesce_window_ms = window_ms;
   svc::PlanningService service(std::move(svc_cfg));
   std::fprintf(stderr,
                "plan_server ready: store %s (budget %llu bytes / %llu "
@@ -393,11 +396,11 @@ int main(int argc, char** argv) {
                    : service.plan_cache()->disk_tier() ? "mem+disk" : "mem",
                jobs, jobs == 1 ? "" : "s");
 
-  if (socket_mode) {
+  if (net_flags.socket_mode()) {
     net::LineServerConfig net_cfg;
-    net_cfg.port = core::parse_port(argc, argv);
-    net_cfg.workers = core::parse_net_workers(argc, argv);
-    net_cfg.max_pending = core::parse_max_pending(argc, argv);
+    net_cfg.port = net_flags.port;
+    net_cfg.workers = net_flags.workers;
+    net_cfg.max_pending = net_flags.max_pending;
     net_cfg.busy_response = error_json("error busy (queue full, retry)");
     net_cfg.deadline_response =
         error_json("error deadline expired in queue");
@@ -415,16 +418,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "plan_server listening on 127.0.0.1:%u (%u net workers, "
                  "%llu max pending)\n",
-                 server.port(), core::parse_net_workers(argc, argv),
-                 static_cast<unsigned long long>(
-                     core::parse_max_pending(argc, argv)));
+                 server.port(), net_flags.workers,
+                 static_cast<unsigned long long>(net_flags.max_pending));
     g_server = &server;
     std::signal(SIGTERM, on_signal);
     std::signal(SIGINT, on_signal);
     server.start();
-    const std::string port_file = core::parse_port_file(argc, argv);
-    if (!port_file.empty()) {
-      std::ofstream pf(port_file, std::ios::trunc);
+    if (!net_flags.port_file.empty()) {
+      std::ofstream pf(net_flags.port_file, std::ios::trunc);
       pf << server.port() << "\n";
     }
     server.join();

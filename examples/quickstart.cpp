@@ -7,7 +7,8 @@
 // Experiment::profile() sweep through the same runner.
 //
 // Flags: --jobs N (campaign workers, default 1), --quick (small content +
-// profiling smoke; what CI runs under TSan).
+// profiling smoke; what CI runs under TSan), and for that sweep
+// --profiler fullsim|replay, --trace-dir DIR and --trace off|ro|rw.
 #include <cstdio>
 
 #include "common/table.hpp"
@@ -156,8 +157,13 @@ opt::PartitionPlan quickstart_plan(const apps::Application& app) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = core::parse_jobs(argc, argv);
-  const bool quick = core::has_flag(argc, argv, "--quick");
+  core::CampaignFlags campaign_flags;
+  core::StoreFlags store;
+  bool quick = false;
+  const core::Flag flags[] = {core::flag("--quick", &quick)};
+  core::parse_flags_or_exit(
+      argc, argv, {flags, campaign_flags.table(), store.local_table()});
+  const unsigned jobs = campaign_flags.jobs;
   if (quick) g_items = 500;
 
   const unsigned workers = core::Campaign::resolve_jobs(jobs);
@@ -229,12 +235,11 @@ int main(int argc, char** argv) {
     cfg.profile_grid = {1, 8};
     cfg.profile_runs = 1;
     cfg.jobs = jobs;
-    cfg.profiler = core::parse_profiler(argc, argv);
+    cfg.profiler = campaign_flags.profiler;
     // --trace-dir persists the captures; the key names this app AND its
     // content knob (g_items), so a --quick store entry can never serve a
     // full-size run.
-    cfg.trace_store = core::open_trace_store(core::parse_trace_dir(argc, argv),
-                                             core::parse_trace_mode(argc, argv));
+    cfg.trace_store = store.open_trace_store();
     cfg.trace_key = "quickstart/items=" + std::to_string(g_items);
     core::Experiment exp(make_quickstart_app, cfg);
     const opt::MissProfile prof = exp.profile();

@@ -1,17 +1,34 @@
-// Tiny shared command-line helpers for benches and examples — one
-// definition of the campaign flags so `--jobs` / `--profiler` behave
-// identically in every binary.
+// The one command-line parser of every bench and example. A binary
+// declares its flags as a table of rows (name, kind, destination) and
+// parse_flags() reads argv against it once. Each row accepts `--f v` and
+// `--f=v`. An unknown flag, a missing value, a space-separated value that
+// starts with `--`, a malformed or out-of-range value, a repeated flag and
+// `--bool=x` are all usage errors: parse_flags_or_exit() prints the error
+// and the flag list and exits 2, so a typo never runs the defaults.
+//
+// The flags several binaries share live here as groups, each filling a
+// small struct (campaign, store, plan cache, service budgets, net); a
+// binary passes its groups' tables next to its own rows.
 #pragma once
 
-#include <cerrno>
+#include <algorithm>
+#include <array>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <initializer_list>
+#include <limits>
+#include <memory>
+#include <span>
 #include <string>
+#include <type_traits>
 
 #include "core/profiler_mode.hpp"
+
+namespace cms::opt {
+class StoreBackend;
+class TraceStore;
+}  // namespace cms::opt
 
 namespace cms::core {
 
@@ -19,385 +36,226 @@ namespace cms::core {
 /// low enough that a mistyped value can't build an absurd pool.
 inline constexpr unsigned kMaxJobs = 1024;
 
-/// Parse `--jobs N` / `--jobs=N`: campaign worker threads (0 = hardware
-/// concurrency). Returns `def` when the flag is absent; a malformed or
-/// out-of-range value (non-numeric, signed, padded, > kMaxJobs — e.g. the
-/// typo `--jobs --quick`, `--jobs -1` or `--jobs=+5`) warns and keeps
-/// `def` rather than silently fanning out to every core. The value must
-/// be plain decimal digits: strtoul's tolerance for leading whitespace
-/// and a '+'/'-' sign is exactly what this validation wants to reject.
-inline unsigned parse_jobs(int argc, char** argv, unsigned def = 1) {
-  const auto parse_value = [def](const char* v) -> unsigned {
-    bool digits_only = v[0] != '\0';
-    for (const char* p = v; *p != '\0'; ++p)
-      if (*p < '0' || *p > '9') digits_only = false;
-    const unsigned long n = digits_only ? std::strtoul(v, nullptr, 10) : 0;
-    if (!digits_only || n > kMaxJobs) {
-      std::fprintf(stderr, "warning: ignoring bad --jobs value '%s' (0..%u)\n",
-                   v, kMaxJobs);
-      return def;
-    }
-    return static_cast<unsigned>(n);
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      if (i + 1 < argc) return parse_value(argv[i + 1]);
-      std::fprintf(stderr, "warning: --jobs needs a value (0..%u)\n", kMaxJobs);
-      return def;
-    }
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-      return parse_value(argv[i] + 7);
+/// One `{"name", value}` choice of an enum flag. A name ending in '/'
+/// (`tcp://`) matches every value that starts with it.
+struct FlagChoice {
+  template <class E>
+  constexpr FlagChoice(const char* n, E v)
+      : name(n), value(static_cast<std::uint64_t>(v)) {}
+  const char* name;
+  std::uint64_t value;
+};
+
+/// One row of a flag table; build it with flag(), which picks the kind
+/// from the destination's type.
+struct Flag {
+  enum class Kind : std::uint8_t { kBool, kU64, kDouble, kString, kEnum };
+  const char* name;  // "--jobs"
+  Kind kind;
+  void* dest;
+  /// kU64 and kEnum: stores a parsed value into `dest`'s own type.
+  void (*store)(void* dest, std::uint64_t value) = nullptr;
+  std::uint64_t lo = 0, hi = 0;              // kU64: inclusive range
+  double min = 0.0, max = 0.0;               // kDouble: inclusive range
+  std::span<const FlagChoice> choices = {};  // kEnum
+  /// Optional: set to the raw value text, so non-null means "given".
+  const char** seen = nullptr;
+};
+
+using FlagTable = std::span<const Flag>;
+
+/// `--name`, no value.
+inline Flag flag(const char* name, bool* dest) {
+  return {.name = name, .kind = Flag::Kind::kBool, .dest = dest};
+}
+
+/// `--name TEXT`, any text.
+inline Flag flag(const char* name, std::string* dest) {
+  return {.name = name, .kind = Flag::Kind::kString, .dest = dest};
+}
+
+/// `--name X`, a finite number in [min, max].
+inline Flag flag(const char* name, double* dest, double min, double max) {
+  return {.name = name, .kind = Flag::Kind::kDouble, .dest = dest,
+          .min = min, .max = max};
+}
+
+/// `--name N`, plain decimal digits in [lo, hi]. strtoull's tolerance for
+/// whitespace, a sign or a 0x prefix is exactly what this rejects.
+template <std::unsigned_integral T>
+Flag flag(const char* name, T* dest, std::uint64_t lo, std::uint64_t hi,
+          const char** seen = nullptr) {
+  return {.name = name, .kind = Flag::Kind::kU64, .dest = dest,
+          .store = [](void* d, std::uint64_t v) {
+            *static_cast<T*>(d) = static_cast<T>(v);
+          },
+          .lo = lo,
+          .hi = std::min<std::uint64_t>(hi, std::numeric_limits<T>::max()),
+          .seen = seen};
+}
+
+/// `--name CHOICE`, one of `choices`.
+template <class E>
+  requires std::is_enum_v<E>
+Flag flag(const char* name, E* dest, std::span<const FlagChoice> choices,
+          const char** seen = nullptr) {
+  return {.name = name, .kind = Flag::Kind::kEnum, .dest = dest,
+          .store = [](void* d, std::uint64_t v) {
+            *static_cast<E*>(d) = static_cast<E>(v);
+          },
+          .choices = choices,
+          .seen = seen};
+}
+
+inline constexpr std::uint64_t kNoLimit =
+    std::numeric_limits<std::uint64_t>::max();
+
+inline constexpr FlagChoice kProfilerModes[] = {
+    {"fullsim", ProfilerMode::kFullSim},
+    {"replay", ProfilerMode::kTraceReplay}};
+inline constexpr FlagChoice kTraceModes[] = {{"off", TraceMode::kOff},
+                                             {"ro", TraceMode::kReadOnly},
+                                             {"rw", TraceMode::kReadWrite}};
+/// `tcp://host:port` names a networked far tier and implies rw.
+inline constexpr FlagChoice kStoreL2Modes[] = {
+    {"off", StoreL2Mode::kOff},
+    {"ro", StoreL2Mode::kReadOnly},
+    {"rw", StoreL2Mode::kReadWrite},
+    {"tcp://", StoreL2Mode::kTcp}};
+inline constexpr FlagChoice kPlanCacheModes[] = {
+    {"off", PlanCacheMode::kOff},
+    {"mem", PlanCacheMode::kMemory},
+    {"disk", PlanCacheMode::kDisk}};
+
+/// Parse argv[1..argc) against the rows of `tables`. Returns "" on
+/// success, else a one-line error naming the offending argument (rows
+/// parsed before it may already be written). Tests call this directly.
+std::string parse_flags(int argc, const char* const* argv,
+                        std::initializer_list<FlagTable> tables);
+
+/// parse_flags(); on an error, print it and the flag list to stderr and
+/// exit 2. The flag list is the help.
+void parse_flags_or_exit(int argc, const char* const* argv,
+                         std::initializer_list<FlagTable> tables);
+
+/// `--jobs N`: campaign worker threads, 0..kMaxJobs (0 = hardware
+/// concurrency).
+inline Flag jobs_flag(unsigned* jobs) {
+  return flag("--jobs", jobs, 0, kMaxJobs);
+}
+
+/// `--coalesce-window-ms X`: how long a sweep leader holds its union sweep
+/// open for concurrent requests to merge into (see
+/// svc::PlanningServiceConfig::coalesce_window_ms). Finite ms in
+/// [0, 60000]: NaN, inf and absurd typos are rejected.
+inline Flag coalesce_window_flag(double* ms) {
+  return flag("--coalesce-window-ms", ms, 0.0, 60'000.0);
+}
+
+/// --jobs and --profiler: campaign workers, and whether profiles come from
+/// one simulation per grid point (`fullsim`) or from trace capture and
+/// replay (`replay`, bit-identical, grid-times fewer simulations).
+struct CampaignFlags {
+  unsigned jobs = 1;
+  ProfilerMode profiler = ProfilerMode::kFullSim;
+
+  std::array<Flag, 2> table() {
+    return {jobs_flag(&jobs), flag("--profiler", &profiler, kProfilerModes)};
   }
-  return def;
-}
+};
 
-/// True when `flag` (e.g. "--quick") is present.
-inline bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
-}
+/// --trace-dir, --trace, --store-l2-dir and --store-l2: the persistent
+/// capture store and its optional far tier.
+struct StoreFlags {
+  /// Store directory; empty means no store (captures stay in memory).
+  std::string dir;
+  /// off (ignore the store), ro (serve hits, never write) or rw (write
+  /// back misses), so --trace-dir alone gives capture-once behavior.
+  TraceMode mode = TraceMode::kReadWrite;
+  /// Far tier: a directory or a `tcp://host:port` blob_server endpoint.
+  std::string l2_dir;
+  /// off, ro (a frozen shared tier), rw (read and write through) or a
+  /// `tcp://host:port` endpoint (kTcp): sugar for rw against it.
+  StoreL2Mode l2 = StoreL2Mode::kReadWrite;
+  const char* l2_arg = nullptr;  // raw --store-l2 value, when given
 
-/// Parse `--profiler MODE` / `--profiler=MODE` where MODE is `fullsim`
-/// (one simulation per grid point x run) or `replay` (trace capture +
-/// replay; bit-identical profile, grid-times fewer simulations). Returns
-/// `def` when absent; unknown modes warn and keep `def`.
-inline ProfilerMode parse_profiler(int argc, char** argv,
-                                   ProfilerMode def = ProfilerMode::kFullSim) {
-  const auto parse_value = [def](const char* v) -> ProfilerMode {
-    if (std::strcmp(v, "fullsim") == 0) return ProfilerMode::kFullSim;
-    if (std::strcmp(v, "replay") == 0) return ProfilerMode::kTraceReplay;
-    std::fprintf(stderr,
-                 "warning: ignoring bad --profiler value '%s' "
-                 "(fullsim|replay)\n",
-                 v);
-    return def;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--profiler") == 0) {
-      if (i + 1 < argc) return parse_value(argv[i + 1]);
-      std::fprintf(stderr, "warning: --profiler needs a value (fullsim|replay)\n");
-      return def;
-    }
-    if (std::strncmp(argv[i], "--profiler=", 11) == 0)
-      return parse_value(argv[i] + 11);
+  /// --trace-dir and --trace only: a store without a far tier.
+  std::array<Flag, 2> local_table() {
+    return {flag("--trace-dir", &dir), flag("--trace", &mode, kTraceModes)};
   }
-  return def;
-}
-
-/// Parse `FLAG N` / `FLAG=N` as a plain-decimal unsigned 64-bit value.
-/// Returns `def` when the flag is absent; malformed values (non-numeric,
-/// signed, padded — same digits-only rule as parse_jobs) warn and keep
-/// `def`.
-inline std::uint64_t parse_u64_flag(int argc, char** argv, const char* flag,
-                                    std::uint64_t def = 0) {
-  const auto parse_value = [def, flag](const char* v) -> std::uint64_t {
-    bool digits_only = v[0] != '\0';
-    for (const char* p = v; *p != '\0'; ++p)
-      if (*p < '0' || *p > '9') digits_only = false;
-    errno = 0;
-    const unsigned long long n = digits_only ? std::strtoull(v, nullptr, 10) : 0;
-    // An overflowing all-digits value saturates silently in strtoull;
-    // treat it like any other malformed input instead.
-    if (!digits_only || errno == ERANGE) {
-      std::fprintf(stderr, "warning: ignoring bad %s value '%s'\n", flag, v);
-      return def;
-    }
-    return n;
-  };
-  const std::size_t flag_len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      if (i + 1 < argc) return parse_value(argv[i + 1]);
-      std::fprintf(stderr, "warning: %s needs a value\n", flag);
-      return def;
-    }
-    if (std::strncmp(argv[i], flag, flag_len) == 0 &&
-        argv[i][flag_len] == '=')
-      return parse_value(argv[i] + flag_len + 1);
+  std::array<Flag, 4> table() {
+    const std::array<Flag, 2> local = local_table();
+    return {local[0], local[1], flag("--store-l2-dir", &l2_dir),
+            flag("--store-l2", &l2, kStoreL2Modes, &l2_arg)};
   }
-  return def;
-}
 
-/// Planning-service store budget: `--service-budget-bytes N` caps the
-/// trace store's on-disk footprint (LRU eviction above it; 0 = unlimited).
-inline std::uint64_t parse_service_budget_bytes(int argc, char** argv,
-                                                std::uint64_t def = 0) {
-  return parse_u64_flag(argc, argv, "--service-budget-bytes", def);
-}
-
-/// Planning-service store budget: `--service-budget-entries N` caps the
-/// trace store's entry count (LRU eviction above it; 0 = unlimited).
-inline std::uint64_t parse_service_budget_entries(int argc, char** argv,
-                                                  std::uint64_t def = 0) {
-  return parse_u64_flag(argc, argv, "--service-budget-entries", def);
-}
-
-/// Planning-service bench/driver: `--service-clients N` concurrent client
-/// threads hammering the plan endpoint.
-inline unsigned parse_service_clients(int argc, char** argv,
-                                      unsigned def = 4) {
-  const std::uint64_t n =
-      parse_u64_flag(argc, argv, "--service-clients", def);
-  if (n == 0 || n > kMaxJobs) {
-    std::fprintf(stderr,
-                 "warning: ignoring bad --service-clients value (1..%u)\n",
-                 kMaxJobs);
-    return def;
+  /// The far-tier target: --store-l2-dir verbatim, else the kTcp
+  /// endpoint given to --store-l2, else "".
+  std::string l2_target() const {
+    if (!l2_dir.empty()) return l2_dir;
+    return l2 == StoreL2Mode::kTcp ? l2_arg : "";
   }
-  return static_cast<unsigned>(n);
-}
-
-/// Parse `FLAG S` / `FLAG=S` as a raw string. Returns `def` when absent.
-inline std::string parse_string_flag(int argc, char** argv, const char* flag,
-                                     std::string def = {}) {
-  const std::size_t flag_len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "warning: %s needs a value\n", flag);
-      return def;
-    }
-    if (std::strncmp(argv[i], flag, flag_len) == 0 &&
-        argv[i][flag_len] == '=')
-      return argv[i] + flag_len + 1;
+  bool tiered() const {
+    return !l2_target().empty() && l2 != StoreL2Mode::kOff;
   }
-  return def;
-}
+  /// The store backend the flags describe: a DirBackend at `dir`, tiered
+  /// over the far target when there is one (read-through with
+  /// promote-on-hit; write-through only for l2 rw). Null when `dir` is
+  /// empty or `mode` is off. One backend can feed a TraceStore and a
+  /// PlanCache, so both kinds of blob share the tiering.
+  std::shared_ptr<opt::StoreBackend> open_backend() const;
+  /// open_backend() wrapped in a TraceStore (read-only for mode ro).
+  std::shared_ptr<opt::TraceStore> open_trace_store() const;
+};
 
-/// True when `flag` is present either bare, as `FLAG VALUE` or `FLAG=VALUE`.
-inline bool has_value_flag(int argc, char** argv, const char* flag) {
-  const std::size_t flag_len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-    if (std::strncmp(argv[i], flag, flag_len) == 0 &&
-        argv[i][flag_len] == '=')
-      return true;
+/// --plan-cache and its budgets: the planning service's memoized plan
+/// cache — off, mem (in-process only) or disk (plus `.cmsplan` entries
+/// in the store) — and each tier's LRU budget (0 = unlimited).
+struct PlanCacheFlags {
+  PlanCacheMode mode = PlanCacheMode::kDisk;
+  std::uint64_t budget_bytes = 0;
+  std::uint64_t budget_entries = 0;
+
+  std::array<Flag, 3> table() {
+    return {flag("--plan-cache", &mode, kPlanCacheModes),
+            flag("--plan-cache-budget-bytes", &budget_bytes, 0, kNoLimit),
+            flag("--plan-cache-budget-entries", &budget_entries, 0,
+                 kNoLimit)};
   }
-  return false;
-}
+};
 
-/// Parse `--port N` / `--port=N`: TCP listening port for socket-mode
-/// servers (0 = kernel-assigned ephemeral port; pair with `--port-file`).
-/// Values above 65535 warn and keep `def`. The flag's PRESENCE (even
-/// `--port 0`) is what switches plan_server into socket mode — probe it
-/// with has_value_flag(argc, argv, "--port").
-inline std::uint16_t parse_port(int argc, char** argv, std::uint16_t def = 0) {
-  const std::uint64_t n = parse_u64_flag(argc, argv, "--port", def);
-  if (n > 65535) {
-    std::fprintf(stderr, "warning: ignoring bad --port value (0..65535)\n");
-    return def;
+/// --service-budget-bytes / --service-budget-entries: the planning
+/// service's trace-store budget (LRU eviction above it; 0 = unlimited).
+struct ServiceFlags {
+  std::uint64_t budget_bytes = 0;
+  std::uint64_t budget_entries = 0;
+
+  std::array<Flag, 2> table() {
+    return {flag("--service-budget-bytes", &budget_bytes, 0, kNoLimit),
+            flag("--service-budget-entries", &budget_entries, 0, kNoLimit)};
   }
-  return static_cast<std::uint16_t>(n);
-}
+};
 
-/// Parse `--port-file PATH`: where a socket server writes its resolved
-/// listening port (one decimal line) once it accepts connections —
-/// the rendezvous for `--port 0` (bench harnesses poll this file).
-inline std::string parse_port_file(int argc, char** argv) {
-  return parse_string_flag(argc, argv, "--port-file");
-}
+/// The socket-server flags. --port N listens on 127.0.0.1:N (0 = an
+/// ephemeral port) and its PRESENCE, even `--port 0`, is what switches
+/// plan_server into socket mode. --port-file PATH receives the resolved
+/// port once the server accepts connections. --net-workers N worker
+/// threads (each blocked worker is one request in flight). --max-pending
+/// N bounds the admission queue; arrivals beyond it are shed.
+struct NetFlags {
+  std::uint16_t port = 0;
+  const char* port_arg = nullptr;
+  std::string port_file;
+  unsigned workers = 8;
+  std::size_t max_pending = 256;
 
-/// Parse `--net-workers N`: socket-server worker threads (each blocked
-/// worker is one request in flight — size it at least as large as the
-/// burst you want sweep-coalesced). Same 1..kMaxJobs bound as
-/// --service-clients.
-inline unsigned parse_net_workers(int argc, char** argv, unsigned def = 8) {
-  const std::uint64_t n = parse_u64_flag(argc, argv, "--net-workers", def);
-  if (n == 0 || n > kMaxJobs) {
-    std::fprintf(stderr,
-                 "warning: ignoring bad --net-workers value (1..%u)\n",
-                 kMaxJobs);
-    return def;
+  bool socket_mode() const { return port_arg != nullptr; }
+  std::array<Flag, 4> table() {
+    return {flag("--port", &port, 0, 65535, &port_arg),
+            flag("--port-file", &port_file),
+            flag("--net-workers", &workers, 1, kMaxJobs),
+            flag("--max-pending", &max_pending, 1, kNoLimit)};
   }
-  return static_cast<unsigned>(n);
-}
-
-/// Parse `--max-pending N`: socket-server admission-queue bound; arrivals
-/// beyond it are shed with a `busy` error line. 0 (shed everything) is
-/// rejected as surely a mistake.
-inline std::size_t parse_max_pending(int argc, char** argv,
-                                     std::size_t def = 256) {
-  const std::uint64_t n = parse_u64_flag(argc, argv, "--max-pending", def);
-  if (n == 0) {
-    std::fprintf(stderr,
-                 "warning: ignoring bad --max-pending value (>= 1)\n");
-    return def;
-  }
-  return static_cast<std::size_t>(n);
-}
-
-/// Parse `--coalesce-window-ms X`: how long a sweep leader holds its
-/// union sweep open for concurrent requests to merge into — an
-/// unconditional hold, i.e. X ms of extra latency per cache-missing
-/// sweep bought against a guaranteed burst merge (see
-/// svc::PlanningServiceConfig::coalesce_window_ms). Must be finite and
-/// >= 0; malformed values warn and keep `def`.
-inline double parse_coalesce_window_ms(int argc, char** argv,
-                                       double def = 0.0) {
-  const std::string v =
-      parse_string_flag(argc, argv, "--coalesce-window-ms", "");
-  if (v.empty()) return def;
-  char* end = nullptr;
-  const double ms = std::strtod(v.c_str(), &end);
-  // !(ms >= 0) also catches NaN; the cap catches inf and absurd typos.
-  if (end != v.c_str() + v.size() || !(ms >= 0.0) || ms > 60'000.0) {
-    std::fprintf(
-        stderr,
-        "warning: ignoring bad --coalesce-window-ms value '%s' "
-        "(finite ms in [0, 60000])\n",
-        v.c_str());
-    return def;
-  }
-  return ms;
-}
-
-/// Parse `--plan-cache MODE` / `--plan-cache=MODE` where MODE is `off`
-/// (recompute every plan), `mem` (in-process memo only) or `disk`
-/// (memo + persistent `.cmsplan` entries in the trace-store directory).
-/// Returns `def` when absent; unknown modes warn and keep `def`.
-inline PlanCacheMode parse_plan_cache(
-    int argc, char** argv, PlanCacheMode def = PlanCacheMode::kDisk) {
-  const auto parse_value = [def](const char* v) -> PlanCacheMode {
-    if (std::strcmp(v, "off") == 0) return PlanCacheMode::kOff;
-    if (std::strcmp(v, "mem") == 0) return PlanCacheMode::kMemory;
-    if (std::strcmp(v, "disk") == 0) return PlanCacheMode::kDisk;
-    std::fprintf(stderr,
-                 "warning: ignoring bad --plan-cache value '%s' "
-                 "(off|mem|disk)\n",
-                 v);
-    return def;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--plan-cache") == 0) {
-      if (i + 1 < argc) return parse_value(argv[i + 1]);
-      std::fprintf(stderr,
-                   "warning: --plan-cache needs a value (off|mem|disk)\n");
-      return def;
-    }
-    if (std::strncmp(argv[i], "--plan-cache=", 13) == 0)
-      return parse_value(argv[i] + 13);
-  }
-  return def;
-}
-
-/// Plan-cache budget: `--plan-cache-budget-bytes N` caps each cache
-/// tier's footprint (LRU eviction above it; 0 = unlimited).
-inline std::uint64_t parse_plan_cache_budget_bytes(int argc, char** argv,
-                                                   std::uint64_t def = 0) {
-  return parse_u64_flag(argc, argv, "--plan-cache-budget-bytes", def);
-}
-
-/// Plan-cache budget: `--plan-cache-budget-entries N` caps each cache
-/// tier's entry count (LRU eviction above it; 0 = unlimited).
-inline std::uint64_t parse_plan_cache_budget_entries(int argc, char** argv,
-                                                     std::uint64_t def = 0) {
-  return parse_u64_flag(argc, argv, "--plan-cache-budget-entries", def);
-}
-
-/// Parse `--trace-dir DIR` / `--trace-dir=DIR`: directory of the
-/// persistent trace store. Empty (the default) means no store — captures
-/// stay in memory.
-inline std::string parse_trace_dir(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-dir") == 0) {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "warning: --trace-dir needs a directory\n");
-      return {};
-    }
-    if (std::strncmp(argv[i], "--trace-dir=", 12) == 0) return argv[i] + 12;
-  }
-  return {};
-}
-
-/// Parse `--trace MODE` / `--trace=MODE` where MODE is `off` (ignore the
-/// store), `ro` (serve hits, never write) or `rw` (serve hits, write back
-/// misses). Returns `def` when absent — read-write, so `--trace-dir` alone
-/// gives the expected capture-once behavior; unknown modes warn and keep
-/// `def`.
-inline TraceMode parse_trace_mode(int argc, char** argv,
-                                  TraceMode def = TraceMode::kReadWrite) {
-  const auto parse_value = [def](const char* v) -> TraceMode {
-    if (std::strcmp(v, "off") == 0) return TraceMode::kOff;
-    if (std::strcmp(v, "ro") == 0) return TraceMode::kReadOnly;
-    if (std::strcmp(v, "rw") == 0) return TraceMode::kReadWrite;
-    std::fprintf(stderr,
-                 "warning: ignoring bad --trace value '%s' (off|ro|rw)\n", v);
-    return def;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      if (i + 1 < argc) return parse_value(argv[i + 1]);
-      std::fprintf(stderr, "warning: --trace needs a value (off|ro|rw)\n");
-      return def;
-    }
-    if (std::strncmp(argv[i], "--trace=", 8) == 0)
-      return parse_value(argv[i] + 8);
-  }
-  return def;
-}
-
-/// Parse `--store-l2-dir DIR` / `--store-l2-dir=DIR`: directory of the
-/// far (shared) store tier. Empty (the default) means no L2 — the local
-/// --trace-dir is the whole store.
-inline std::string parse_store_l2_dir(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--store-l2-dir") == 0) {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "warning: --store-l2-dir needs a directory\n");
-      return {};
-    }
-    if (std::strncmp(argv[i], "--store-l2-dir=", 15) == 0)
-      return argv[i] + 15;
-  }
-  return {};
-}
-
-/// Parse `--store-l2 MODE` / `--store-l2=MODE` where MODE is `off`
-/// (ignore the L2 dir), `ro` (read through, never write through — a
-/// frozen shared tier), `rw` (read + write through) or a
-/// `tcp://host:port` endpoint (sugar for a read-write networked far
-/// tier; the endpoint itself is picked up by parse_store_l2_target).
-/// Returns `def` when absent — read-write, so `--store-l2-dir` alone
-/// gives the expected capture-once-globally behavior; unknown modes
-/// warn and keep `def`.
-inline StoreL2Mode parse_store_l2(int argc, char** argv,
-                                  StoreL2Mode def = StoreL2Mode::kReadWrite) {
-  const auto parse_value = [def](const char* v) -> StoreL2Mode {
-    if (std::strcmp(v, "off") == 0) return StoreL2Mode::kOff;
-    if (std::strcmp(v, "ro") == 0) return StoreL2Mode::kReadOnly;
-    if (std::strcmp(v, "rw") == 0) return StoreL2Mode::kReadWrite;
-    if (std::strncmp(v, "tcp://", 6) == 0) return StoreL2Mode::kReadWrite;
-    std::fprintf(stderr,
-                 "warning: ignoring bad --store-l2 value '%s' "
-                 "(off|ro|rw|tcp://host:port)\n",
-                 v);
-    return def;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--store-l2") == 0) {
-      if (i + 1 < argc) return parse_value(argv[i + 1]);
-      std::fprintf(stderr, "warning: --store-l2 needs a value (off|ro|rw)\n");
-      return def;
-    }
-    if (std::strncmp(argv[i], "--store-l2=", 11) == 0)
-      return parse_value(argv[i] + 11);
-  }
-  return def;
-}
-
-/// The far-tier TARGET the flags describe: `--store-l2-dir` verbatim
-/// (a directory, or a `tcp://host:port` endpoint — pair with
-/// `--store-l2 ro` for a frozen remote), else a `tcp://` value given
-/// directly to `--store-l2` (the common one-flag networked spelling
-/// `--store-l2 tcp://host:port`), else "". open_store_backend dispatches
-/// on the tcp:// prefix.
-inline std::string parse_store_l2_target(int argc, char** argv) {
-  const std::string dir = parse_store_l2_dir(argc, argv);
-  if (!dir.empty()) return dir;
-  const std::string mode = parse_string_flag(argc, argv, "--store-l2");
-  if (mode.rfind("tcp://", 0) == 0) return mode;
-  return {};
-}
+};
 
 }  // namespace cms::core

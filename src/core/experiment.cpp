@@ -9,7 +9,6 @@
 
 #include "common/log.hpp"
 #include "common/serialize.hpp"
-#include "opt/net_backend.hpp"
 #include "opt/trace_store.hpp"
 
 namespace cms::core {
@@ -405,50 +404,6 @@ opt::MissProfile Experiment::profile_replay(
 opt::PartitionPlan Experiment::plan(const opt::MissProfile& prof) const {
   return opt::plan_partitions(prof, tasks(), buffers(), cfg_.platform.hier.l2,
                               cfg_.planner);
-}
-
-std::shared_ptr<opt::TraceStore> open_trace_store(const std::string& dir,
-                                                  TraceMode mode) {
-  if (dir.empty() || mode == TraceMode::kOff) return nullptr;
-  return std::make_shared<opt::TraceStore>(dir,
-                                           mode == TraceMode::kReadOnly);
-}
-
-std::shared_ptr<opt::StoreBackend> open_store_backend(const std::string& dir,
-                                                      TraceMode mode,
-                                                      const std::string& l2_target,
-                                                      StoreL2Mode l2) {
-  if (dir.empty() || mode == TraceMode::kOff) return nullptr;
-  std::shared_ptr<opt::StoreBackend> l1 = std::make_shared<opt::DirBackend>(
-      dir, /*create=*/mode != TraceMode::kReadOnly);
-  if (l2_target.empty() || l2 == StoreL2Mode::kOff) return l1;
-  opt::TieredBackend::Config cfg;
-  cfg.l1 = std::move(l1);
-  if (opt::is_tcp_endpoint(l2_target)) {
-    // Networked far tier: a blob_server daemon on the other end. The
-    // same TieredBackend degradation contract holds — any transport
-    // failure is a logged L1-only miss, never an error.
-    cfg.l2 = std::make_shared<opt::NetBackend>(l2_target);
-  } else {
-    // A read-only L2 is a frozen shared tier: never create, never write.
-    cfg.l2 = std::make_shared<opt::DirBackend>(
-        l2_target, /*create=*/l2 == StoreL2Mode::kReadWrite);
-  }
-  cfg.l2_writable = l2 == StoreL2Mode::kReadWrite;
-  // Promotion writes into L1, which a read-only store must not do.
-  cfg.promote = mode != TraceMode::kReadOnly;
-  return std::make_shared<opt::TieredBackend>(std::move(cfg));
-}
-
-std::shared_ptr<opt::TraceStore> open_trace_store(const std::string& dir,
-                                                  TraceMode mode,
-                                                  const std::string& l2_target,
-                                                  StoreL2Mode l2) {
-  std::shared_ptr<opt::StoreBackend> backend =
-      open_store_backend(dir, mode, l2_target, l2);
-  if (backend == nullptr) return nullptr;
-  return std::make_shared<opt::TraceStore>(std::move(backend),
-                                           mode == TraceMode::kReadOnly);
 }
 
 std::string app_trace_key(const std::string& label,

@@ -38,7 +38,6 @@
 #include "sim/results.hpp"
 
 namespace cms::opt {
-class StoreBackend;
 class TraceStore;
 }
 
@@ -195,33 +194,6 @@ class Experiment {
   AppFactory factory_;
   ExperimentConfig cfg_;
 };
-
-/// Open a directory-backed trace store per the CLI flags (core/cli.hpp):
-/// returns null — no persistence — when `dir` is empty or `mode` is kOff,
-/// otherwise a store rooted at `dir` (read-only for kReadOnly).
-std::shared_ptr<opt::TraceStore> open_trace_store(const std::string& dir,
-                                                  TraceMode mode);
-
-/// Compose the store BACKEND the CLI flags describe, without wrapping it
-/// in a TraceStore: a DirBackend at `dir`, tiered under an L2 when
-/// `l2_target` is given and `l2` is not kOff (read-through with
-/// promote-on-hit; write-through only for l2 == kReadWrite). The target
-/// is either a directory (an L2 DirBackend) or a `tcp://host:port`
-/// endpoint (an opt::NetBackend against a blob_server daemon — use
-/// core::parse_store_l2_target to gather it from the flags). Returns
-/// null when `dir` is empty or `mode` is kOff. The same backend can feed
-/// a TraceStore and a PlanCache so both kinds share the tiering.
-std::shared_ptr<opt::StoreBackend> open_store_backend(
-    const std::string& dir, TraceMode mode, const std::string& l2_target,
-    StoreL2Mode l2);
-
-/// Tiered-aware open_trace_store: composes the backend above and wraps it
-/// (read-only for mode == kReadOnly). With an empty `l2_target` or l2 ==
-/// kOff this is exactly the two-argument overload.
-std::shared_ptr<opt::TraceStore> open_trace_store(const std::string& dir,
-                                                  TraceMode mode,
-                                                  const std::string& l2_target,
-                                                  StoreL2Mode l2);
 
 /// Standard ExperimentConfig::trace_key: a label (scenario name) plus a
 /// digest of the content configuration, so any app tweak — image sizes,

@@ -31,7 +31,8 @@ enum class TraceMode : std::uint8_t {
   kReadWrite,  // serve hits, write back misses (the default with a dir)
 };
 
-/// Far tier of a two-level store (--store-l2=off|ro|rw + --store-l2-dir).
+/// Far tier of a two-level store (--store-l2=off|ro|rw + --store-l2-dir,
+/// or --store-l2=tcp://host:port alone).
 /// With an L2 attached, the local --trace-dir becomes the L1 of an
 /// opt::TieredBackend: L1 misses read through to the L2 (hits promoted
 /// into L1), writes go through to both tiers in kReadWrite, and every
@@ -41,6 +42,7 @@ enum class StoreL2Mode : std::uint8_t {
   kOff,        // no far tier: the local directory is the whole store
   kReadOnly,   // serve L2 hits, never write through (frozen shared tier)
   kReadWrite,  // read through and write through (the default with a dir)
+  kTcp,        // kReadWrite against the tcp:// endpoint given as the mode
 };
 
 /// Memoized plan cache of the planning service (--plan-cache=off|mem|disk

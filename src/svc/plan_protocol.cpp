@@ -83,8 +83,10 @@ bool parse_plan_request(const std::string& operands, PlanRequest& req,
       }
     } else if (key == "runs") {
       if (!once(seen_runs)) return false;
-      if (!parse_u32(val, n)) {
-        error = bad_value("runs", val, "plain decimal expected");
+      if (!parse_u32(val, n) || n > kMaxPlanRuns) {
+        error = bad_value("runs", val,
+                          "plain decimal 0.." + std::to_string(kMaxPlanRuns) +
+                              " expected");
         return false;
       }
       req.runs = n;

@@ -8,7 +8,8 @@
 //
 // Values are validated strictly: integers must be plain decimal (the
 // digits-only policy of core/cli.hpp — "64k" or "+5" are rejected, never
-// silently truncated) and eps must be a FINITE, NON-NEGATIVE double.
+// silently truncated), runs is at most kMaxPlanRuns (each run is a
+// capture simulation) and eps must be a FINITE, NON-NEGATIVE double.
 // strtod would happily accept "nan", "inf" or "-1"; -1 aliases
 // PlannerConfig::kAutoCurvatureEps, so a client typo would silently turn
 // auto-tuning on instead of erroring — clients wanting auto-tune simply

@@ -194,7 +194,13 @@ core::Experiment PlanningService::build_experiment(
           "plan request grid contains duplicate sizes");
     cfg.profile_grid = req.grid;
   }
-  if (req.runs) cfg.profile_runs = std::max(1u, *req.runs);
+  if (req.runs) {
+    if (*req.runs > kMaxPlanRuns)
+      throw std::invalid_argument(
+          "plan request runs " + std::to_string(*req.runs) + " exceeds " +
+          std::to_string(kMaxPlanRuns));
+    cfg.profile_runs = std::max(1u, *req.runs);
+  }
   if (req.l2_size_bytes) {
     // An L2 override smaller than one set would crash the cache model
     // (modulo by zero sets) — reject it as a request error instead.
@@ -673,39 +679,11 @@ opt::PlanCache::Stats PlanningService::plan_cache_stats() const {
 }
 
 std::shared_ptr<opt::TraceStore> open_service_store(
-    const std::string& dir, core::TraceMode mode,
-    opt::TraceStore::Capacity capacity) {
-  // Mirrors core::open_trace_store (which stays capacity-free so
-  // experiment.hpp needs no TraceStore definition); keep the empty-dir /
-  // kOff semantics of the two in sync.
-  if (dir.empty() || mode == core::TraceMode::kOff) return nullptr;
-  return std::make_shared<opt::TraceStore>(
-      dir, mode == core::TraceMode::kReadOnly, capacity);
-}
-
-std::shared_ptr<opt::TraceStore> open_service_store(
     std::shared_ptr<opt::StoreBackend> backend, core::TraceMode mode,
     opt::TraceStore::Capacity capacity) {
   if (backend == nullptr || mode == core::TraceMode::kOff) return nullptr;
   return std::make_shared<opt::TraceStore>(
       std::move(backend), mode == core::TraceMode::kReadOnly, capacity);
-}
-
-std::shared_ptr<opt::PlanCache> open_plan_cache(
-    core::PlanCacheMode mode, const std::string& store_dir,
-    core::TraceMode trace_mode, opt::TraceStore::Capacity budget) {
-  if (mode == core::PlanCacheMode::kOff) return nullptr;
-  opt::PlanCache::Config cfg;
-  // The disk tier shares the trace store's directory; without a usable
-  // store dir it degrades to the in-process memo.
-  if (mode == core::PlanCacheMode::kDisk && !store_dir.empty() &&
-      trace_mode != core::TraceMode::kOff) {
-    cfg.dir = store_dir;
-    cfg.read_only = trace_mode == core::TraceMode::kReadOnly;
-  }
-  cfg.memory = budget;
-  cfg.disk = budget;
-  return std::make_shared<opt::PlanCache>(std::move(cfg));
 }
 
 std::shared_ptr<opt::PlanCache> open_plan_cache(
@@ -715,7 +693,7 @@ std::shared_ptr<opt::PlanCache> open_plan_cache(
   opt::PlanCache::Config cfg;
   // Tier 2 rides the trace store's backend — plans and captures share one
   // (possibly tiered) store; without one it degrades to the in-process
-  // memo, exactly like the directory overload.
+  // memo.
   if (mode == core::PlanCacheMode::kDisk && backend != nullptr &&
       trace_mode != core::TraceMode::kOff) {
     cfg.backend = std::move(backend);

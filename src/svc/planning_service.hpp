@@ -94,6 +94,11 @@
 
 namespace cms::svc {
 
+/// Upper bound on PlanRequest::runs. One request line must not be able to
+/// order billions of capture simulations; larger values are request
+/// errors.
+inline constexpr std::uint32_t kMaxPlanRuns = 64;
+
 /// One planning request. Only `scenario` is required; everything else
 /// overrides the registered spec (and, being part of the capture digest,
 /// transparently separates store entries per override).
@@ -103,7 +108,7 @@ struct PlanRequest {
   /// scenario's grid. Entries must be >= 1.
   std::vector<std::uint32_t> grid;
   /// Number of jitter seeds to profile (seeds 0..runs-1); one capture per
-  /// seed.
+  /// seed. At most kMaxPlanRuns: each run is a capture simulation.
   std::optional<std::uint32_t> runs;
   /// Platform override: L2 capacity in bytes.
   std::optional<std::uint32_t> l2_size_bytes;
@@ -387,36 +392,20 @@ class PlanningService {
   std::unordered_map<std::string, std::shared_ptr<SweepState>> sweeps_;
 };
 
-/// Build the service's store per the shared CLI flags (`--trace-dir`,
-/// `--trace`, `--service-budget-bytes`, `--service-budget-entries` — see
-/// core/cli.hpp): null when `dir` is empty or `mode` is kOff, otherwise a
-/// store rooted at `dir` (read-only for kReadOnly) with the given
-/// capacity budget.
-std::shared_ptr<opt::TraceStore> open_service_store(
-    const std::string& dir, core::TraceMode mode,
-    opt::TraceStore::Capacity capacity = opt::TraceStore::Capacity());
-
-/// Same, over an explicit backend (e.g. a TieredBackend composed by
-/// core::open_store_backend, shared with the plan cache): null when
-/// `backend` is null or `mode` is kOff.
+/// Build the service's store over `backend` (typically
+/// core::StoreFlags::open_backend(), shared with the plan cache) with the
+/// `--service-budget-bytes/-entries` capacity: null when `backend` is
+/// null or `mode` is kOff, read-only for kReadOnly.
 std::shared_ptr<opt::TraceStore> open_service_store(
     std::shared_ptr<opt::StoreBackend> backend, core::TraceMode mode,
     opt::TraceStore::Capacity capacity = opt::TraceStore::Capacity());
 
-/// Build a plan cache per the shared CLI flags (`--plan-cache`,
-/// `--plan-cache-budget-bytes/-entries` — see core/cli.hpp): null for
-/// kOff; memory-only for kMemory; for kDisk the tier-2 entries live in
-/// `store_dir` (read-only when `trace_mode` is kReadOnly, memory-only
-/// when the dir is empty or the store is off). `budget` applies to each
-/// tier.
-std::shared_ptr<opt::PlanCache> open_plan_cache(
-    core::PlanCacheMode mode, const std::string& store_dir,
-    core::TraceMode trace_mode,
-    opt::TraceStore::Capacity budget = opt::TraceStore::Capacity());
-
-/// Same, with tier 2 over an explicit backend (typically the one the
-/// trace store sits on, so plans ride the same L1/L2 tiering): memory-only
-/// when `backend` is null or `trace_mode` is kOff.
+/// Build a plan cache per the `--plan-cache` flags (core::PlanCacheFlags):
+/// null for kOff; memory-only for kMemory; for kDisk tier 2 rides
+/// `backend` (typically the one the trace store sits on, so plans share
+/// its L1/L2 tiering), read-only when `trace_mode` is kReadOnly and
+/// memory-only when `backend` is null or `trace_mode` is kOff. `budget`
+/// applies to each tier.
 std::shared_ptr<opt::PlanCache> open_plan_cache(
     core::PlanCacheMode mode, std::shared_ptr<opt::StoreBackend> backend,
     core::TraceMode trace_mode,

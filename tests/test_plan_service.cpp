@@ -754,6 +754,32 @@ TEST(PlanProtocol, RejectsMalformedValues) {
   EXPECT_NE(fails("s bogus=1").find("unknown option"), std::string::npos);
 }
 
+TEST(PlanProtocol, RejectsRunsAboveTheCap) {
+  // Each run is one capture simulation: a single line must not be able to
+  // order four billion of them.
+  for (const char* bad : {"jpeg-canny runs=4294967295", "s runs=65"}) {
+    PlanRequest req;
+    std::string err;
+    EXPECT_FALSE(parse_plan_request(bad, req, err)) << bad;
+    EXPECT_NE(err.find("runs"), std::string::npos) << bad << ": " << err;
+  }
+  PlanRequest req;
+  std::string err;
+  ASSERT_TRUE(parse_plan_request("s runs=64", req, err)) << err;
+  EXPECT_EQ(*req.runs, kMaxPlanRuns);
+}
+
+TEST(PlanService, RunsAboveTheCapAreRejectedAsRequestErrors) {
+  TempDir tmp;
+  PlanningService service({make_store(tmp), 1, nullptr, nullptr});
+  PlanRequest req;
+  req.scenario = "mpeg2-tiny";
+  req.runs = kMaxPlanRuns + 1;
+  const PlanResponse resp = service.plan(req);
+  EXPECT_FALSE(resp.ok);
+  EXPECT_NE(resp.error.find("runs"), std::string::npos) << resp.error;
+}
+
 TEST(PlanProtocol, RejectsNonFiniteAndNegativeEps) {
   // BUGFIX regression: strtod happily parses all of these; "-1" would
   // silently alias the auto-tune sentinel (kAutoCurvatureEps) instead of
